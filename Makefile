@@ -153,13 +153,16 @@ campaign-smoke:
 		$(CAMPAIGN_DIR)/shards/BENCH_smoke_shard2of2.json
 
 # A short differential-fuzzing pass over the optimized engine vs the naive
-# reference, including fault-injected inputs. The committed corpus under
-# internal/radio/testdata/fuzz/ always replays as part of `make test`; this
-# target additionally mutates for a few seconds to probe fresh inputs. The
-# second run mutates radiolint's suppression parser, which faces arbitrary
-# source text and must never mis-anchor a suppression or crash.
+# reference, including fault-injected inputs, and over the graph Builder vs
+# a naive []int adjacency reference. The committed corpora under
+# internal/radio/testdata/fuzz/ and internal/graph/testdata/fuzz/ always
+# replay as part of `make test`; this target additionally mutates for a few
+# seconds to probe fresh inputs. The last run mutates radiolint's
+# suppression parser, which faces arbitrary source text and must never
+# mis-anchor a suppression or crash.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRunVsReference -fuzztime=10s ./internal/radio
+	$(GO) test -run=NONE -fuzz=FuzzBuilder -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz=FuzzParseSuppressions -fuzztime=10s ./internal/analysis
 
 # End-to-end gate for the radiosd serving layer, run under the race

@@ -56,7 +56,7 @@ func TestExactPath3IsDeterministicFour(t *testing.T) {
 }
 
 func TestExactSingleNode(t *testing.T) {
-	res, err := ExpectedBroadcastTime(graph.New(1, true), DecaySchedule(1), 10, 1e-9)
+	res, err := ExpectedBroadcastTime(graph.NewBuilder(1, true).MustBuild(), DecaySchedule(1), 10, 1e-9)
 	if err != nil || res.ExpectedTime != 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -144,12 +144,13 @@ func mustCycle(t *testing.T, n int) *graph.Graph {
 // pendant path.
 func lollipop(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(5, true)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(0, 2)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
-	g.MustAddEdge(3, 4)
+	b := graph.NewBuilder(5, true)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(0, 2)
+	b.MustAddEdge(1, 2)
+	b.MustAddEdge(2, 3)
+	b.MustAddEdge(3, 4)
+	g := b.MustBuild()
 	return g
 }
 

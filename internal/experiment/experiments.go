@@ -773,13 +773,17 @@ func E12(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		benignD := graph.New(benignU.N(), false)
+		benignB := graph.NewBuilder(benignU.N(), false)
 		for li := 0; li+1 < len(layers); li++ {
 			for _, u := range layers[li] {
 				for _, v := range layers[li+1] {
-					benignD.MustAddEdge(u, v)
+					benignB.MustAddEdge(u, v)
 				}
 			}
+		}
+		benignD, err := benignB.Build()
+		if err != nil {
+			return nil, err
 		}
 		bres, err := simulate(benignD, victim, radio.Config{}, radio.Options{})
 		if err != nil {

@@ -13,9 +13,9 @@ import (
 // n²/8 bits of memory on dense graphs (see Dense), where it costs at most a
 // small constant times the CSR it is built from.
 //
-// Like the CSR, a Bitmap is immutable once built: Graph.CompileBitmap caches
-// it on the graph and every mutation invalidates the cache, so a compiled
-// view never goes stale. Callers must not modify the returned rows.
+// Like the CSR, a Bitmap is immutable: Graph.CompileBitmap derives it once
+// from a graph that can no longer change. Callers must not modify the
+// returned rows.
 type Bitmap struct {
 	// NumNodes is the node count (same as Graph.N).
 	NumNodes int
@@ -41,23 +41,15 @@ func BitmapDense(n, m int) bool {
 	return n > 0 && int64(m)*32 >= int64(n)*int64(n)
 }
 
-// CompileBitmap returns the bitmap-adjacency form of the graph, building it
-// from the compiled CSR on first use and caching it on the graph. The cache
-// is invalidated by every mutation (AddEdge, removeEdge, SortAdjacency),
-// exactly like the CSR cache, and shares its publication contract: racing
-// compilers of a frozen graph build identical content, so whichever
-// atomic store wins is indistinguishable.
+// CompileBitmap returns the bitmap-adjacency form of the graph, deriving it
+// from the CSR on first use; concurrent callers share that one derivation.
 //
 // Callers gate on BitmapDense (or their own density policy) before
 // compiling: the bitmap always costs NumNodes²/8 bytes regardless of the
 // arc count.
 func (g *Graph) CompileBitmap() *Bitmap {
-	if b := g.bmp.Load(); b != nil {
-		return b
-	}
-	b := buildBitmap(g.Compile())
-	g.bmp.Store(b)
-	return b
+	g.bmpOnce.Do(func() { g.bmp = buildBitmap(&g.csr) })
+	return g.bmp
 }
 
 func buildBitmap(c *CSR) *Bitmap {
@@ -65,9 +57,9 @@ func buildBitmap(c *CSR) *Bitmap {
 	words := bitset.Words(n)
 	if n > 0 && int64(n)*int64(words) > math.MaxInt32 {
 		// >2^31 words is a >16 GiB bitmap; the density gate every caller
-		// applies means the CSR's own int32 arc guard trips long before a
-		// graph this large could be compiled here.
-		panic("graph: too large for bitmap adjacency") //radiolint:ignore nopanic unreachable behind the CSR int32 guard at any bitmap-worthy density; guards row index arithmetic
+		// applies means the Builder's int32 arc limit trips long before a
+		// graph this large could be built.
+		panic("graph: too large for bitmap adjacency") //radiolint:ignore nopanic unreachable behind the Builder's int32 arc limit at any bitmap-worthy density; guards row index arithmetic
 	}
 	b := &Bitmap{
 		NumNodes:    n,

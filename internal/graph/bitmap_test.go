@@ -27,7 +27,7 @@ func checkBitmapMirrors(t *testing.T, g *Graph) {
 			t.Fatalf("node %d: row popcount %d, want out-degree %d", u, got, want)
 		}
 		for _, v := range g.Out(u) {
-			if !bitset.Test(row, v) {
+			if !bitset.Test(row, int(v)) {
 				t.Fatalf("node %d: bit %d clear for arc (%d,%d)", u, v, u, v)
 			}
 		}
@@ -48,8 +48,8 @@ func TestCompileBitmapMirrorsSliceAdjacency(t *testing.T) {
 		{"clique128", Clique(128)}, // exactly two words per row
 		{"gnp", GNPConnected(70, 0.2, src)},
 		{"tree", RandomTree(33, src)},
-		{"empty", New(5, true)},
-		{"single", New(1, false)},
+		{"empty", edgeless(5, true)},
+		{"single", edgeless(1, false)},
 	}
 	if g, err := DirectedLayered(40, 5, 0.3, src); err == nil {
 		graphs = append(graphs, struct {
@@ -62,38 +62,29 @@ func TestCompileBitmapMirrorsSliceAdjacency(t *testing.T) {
 	}
 }
 
+// TestCompileBitmapCachesUntilMutation: the bitmap is derived once per
+// graph; adding edges to the Builder afterwards leaves it alone, and the
+// rebuilt graph derives a bitmap of its own.
 func TestCompileBitmapCachesUntilMutation(t *testing.T) {
-	g := Path(6)
+	b := NewBuilder(6, true)
+	for v := 0; v+1 < 6; v++ {
+		b.MustAddEdge(v, v+1)
+	}
+	g := b.MustBuild()
 	b1 := g.CompileBitmap()
-	if b2 := g.CompileBitmap(); b2 != b1 {
+	if g.CompileBitmap() != b1 {
 		t.Fatal("second CompileBitmap did not return the cached bitmap")
 	}
-	g.MustAddEdge(0, 5)
-	b3 := g.CompileBitmap()
-	if b3 == b1 {
-		t.Fatal("AddEdge did not invalidate the bitmap cache")
+	b.MustAddEdge(0, 5)
+	h := b.MustBuild()
+	if g.CompileBitmap() != b1 || bitset.Test(b1.OutRow(0), 5) {
+		t.Fatal("adding to the builder changed an already derived bitmap")
+	}
+	if b2 := h.CompileBitmap(); b2 == b1 || !bitset.Test(b2.OutRow(5), 0) {
+		t.Fatal("rebuilt graph does not carry the new edge in a bitmap of its own")
 	}
 	checkBitmapMirrors(t, g)
-
-	g.SortAdjacency()
-	if g.CompileBitmap() == b3 {
-		t.Fatal("SortAdjacency did not invalidate the bitmap cache")
-	}
-	checkBitmapMirrors(t, g)
-}
-
-func TestCompileBitmapInvalidatedByRemoveEdge(t *testing.T) {
-	g := Clique(5)
-	b1 := g.CompileBitmap()
-	g.removeEdge(1, 2)
-	b2 := g.CompileBitmap()
-	if b2 == b1 {
-		t.Fatal("removeEdge did not invalidate the bitmap cache")
-	}
-	if bitset.Test(b2.OutRow(1), 2) || bitset.Test(b2.OutRow(2), 1) {
-		t.Fatal("removed edge still set in rebuilt bitmap")
-	}
-	checkBitmapMirrors(t, g)
+	checkBitmapMirrors(t, h)
 }
 
 func TestCompileBitmapConcurrentReaders(t *testing.T) {
@@ -107,9 +98,8 @@ func TestCompileBitmapConcurrentReaders(t *testing.T) {
 	}
 	first := <-done
 	for i := 1; i < 8; i++ {
-		b := <-done
-		if b.NumNodes != first.NumNodes || b.WordsPerRow != first.WordsPerRow {
-			t.Fatal("concurrent compilations disagree")
+		if <-done != first {
+			t.Fatal("concurrent compilations built different bitmaps")
 		}
 	}
 	checkBitmapMirrors(t, g)

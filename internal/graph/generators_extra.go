@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"adhocradio/internal/rng"
 )
@@ -11,11 +13,11 @@ func Cycle(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: cycle needs n >= 3, got %d", n)
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; v < n; v++ {
-		g.MustAddEdge(v, (v+1)%n)
+		b.MustAddEdge(v, (v+1)%n)
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Wheel returns the n-node wheel: a hub (the source) connected to an
@@ -24,16 +26,16 @@ func Wheel(n int) (*Graph, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("graph: wheel needs n >= 4, got %d", n)
 	}
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(0, v)
+		b.MustAddEdge(0, v)
 		next := v + 1
 		if next == n {
 			next = 1
 		}
-		g.MustAddEdge(v, next)
+		b.MustAddEdge(v, next)
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // CompleteBinaryTree returns the complete binary tree with the given number
@@ -43,14 +45,14 @@ func CompleteBinaryTree(levels int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: binary tree levels %d out of range", levels)
 	}
 	n := 1<<levels - 1
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; 2*v+1 < n; v++ {
-		g.MustAddEdge(v, 2*v+1)
+		b.MustAddEdge(v, 2*v+1)
 		if 2*v+2 < n {
-			g.MustAddEdge(v, 2*v+2)
+			b.MustAddEdge(v, 2*v+2)
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim nodes; node v
@@ -61,16 +63,16 @@ func Hypercube(dim int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: hypercube dimension %d out of range", dim)
 	}
 	n := 1 << dim
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	for v := 0; v < n; v++ {
-		for b := 0; b < dim; b++ {
-			w := v ^ (1 << b)
+		for bit := 0; bit < dim; bit++ {
+			w := v ^ (1 << bit)
 			if v < w {
-				g.MustAddEdge(v, w)
+				b.MustAddEdge(v, w)
 			}
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // Barbell returns two cliques of size k joined by a path of length bridge
@@ -81,27 +83,27 @@ func Barbell(k, bridge int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: barbell needs k >= 2, bridge >= 1 (got %d, %d)", k, bridge)
 	}
 	n := 2*k + bridge - 1
-	g := New(n, true)
+	b := NewBuilder(n, true)
 	// Left clique on 0..k-1 (source inside).
 	for u := 0; u < k; u++ {
 		for v := u + 1; v < k; v++ {
-			g.MustAddEdge(u, v)
+			b.MustAddEdge(u, v)
 		}
 	}
 	// Path from node k-1 through k..k+bridge-2 to the right clique's first
 	// node k+bridge-1.
 	prev := k - 1
 	for v := k; v <= k+bridge-1; v++ {
-		g.MustAddEdge(prev, v)
+		b.MustAddEdge(prev, v)
 		prev = v
 	}
 	// Right clique on k+bridge-1 .. n-1.
 	for u := k + bridge - 1; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
+			b.MustAddEdge(u, v)
 		}
 	}
-	return g, nil
+	return b.MustBuild(), nil
 }
 
 // RandomRegular returns a connected random d-regular graph on n nodes
@@ -115,6 +117,9 @@ func RandomRegular(n, d int, src *rng.Source) (*Graph, error) {
 	}
 	if n*d%2 != 0 {
 		return nil, fmt.Errorf("graph: n·d = %d·%d is odd", n, d)
+	}
+	if int64(n)*int64(d) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d-regular graph on %d nodes exceeds int32 adjacency", d, n)
 	}
 	const maxAttempts = 200
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -131,6 +136,11 @@ func RandomRegular(n, d int, src *rng.Source) (*Graph, error) {
 
 // tryConfigurationModel pairs n·d stubs uniformly, then repairs invalid
 // pairs (self-loops, duplicates) by swapping with random valid pairs.
+//
+// Node v's neighbors live in adj[v*d : v*d+deg[v]]: no node ever holds more
+// than d, and a repaired sample has exactly d each, so the staging array is
+// already the finished graph's CSR. Removal swaps with the last neighbor,
+// which the random edge picks observe.
 func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 	stubs := make([]int, 0, n*d)
 	for v := 0; v < n; v++ {
@@ -139,17 +149,26 @@ func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 		}
 	}
 	src.Shuffle(stubs)
-	pairs := make([][2]int, 0, len(stubs)/2)
-	for i := 0; i < len(stubs); i += 2 {
-		pairs = append(pairs, [2]int{stubs[i], stubs[i+1]})
+	adj := make([]int32, n*d)
+	deg := make([]int, n)
+	list := func(v int) []int32 { return adj[v*d : v*d+deg[v]] }
+	has := func(u, v int) bool { return slices.Contains(list(u), int32(v)) }
+	arc := func(u, v int) {
+		adj[u*d+deg[u]] = int32(v)
+		deg[u]++
 	}
-	g := New(n, true)
-	bad := pairs[:0:0]
-	for _, pr := range pairs {
-		if pr[0] != pr[1] && !g.HasEdge(pr[0], pr[1]) {
-			g.MustAddEdge(pr[0], pr[1])
+	unarc := func(u, v int) { // swap-with-last
+		l := list(u)
+		l[slices.Index(l, int32(v))] = l[len(l)-1]
+		deg[u]--
+	}
+	var bad [][2]int
+	for i := 0; i < len(stubs); i += 2 {
+		if u, v := stubs[i], stubs[i+1]; u != v && !has(u, v) {
+			arc(u, v)
+			arc(v, u)
 		} else {
-			bad = append(bad, pr)
+			bad = append(bad, [2]int{u, v})
 		}
 	}
 	// Repair: swap one endpoint of a bad pair with an endpoint of a random
@@ -161,18 +180,29 @@ func tryConfigurationModel(n, d int, src *rng.Source) (*Graph, bool) {
 		a, b := pr[0], pr[1]
 		// Pick a random existing edge (u, w).
 		u := src.Intn(n)
-		if g.OutDegree(u) == 0 {
+		if deg[u] == 0 {
 			continue
 		}
-		w := g.Out(u)[src.Intn(g.OutDegree(u))]
+		w := int(list(u)[src.Intn(deg[u])])
 		// Proposed replacement: (a, u) and (b, w).
-		if a == u || b == w || g.HasEdge(a, u) || g.HasEdge(b, w) {
+		if a == u || b == w || has(a, u) || has(b, w) {
 			continue
 		}
-		g.removeEdge(u, w)
-		g.MustAddEdge(a, u)
-		g.MustAddEdge(b, w)
+		unarc(u, w)
+		unarc(w, u)
+		arc(a, u)
+		arc(u, a)
+		arc(b, w)
+		arc(w, b)
 		bad = bad[:len(bad)-1]
 	}
-	return g, len(bad) == 0
+	if len(bad) > 0 {
+		return nil, false
+	}
+	off := make([]int32, n+1)
+	for v := range off {
+		off[v] = int32(v * d)
+	}
+	return &Graph{undirected: true, csr: CSR{NumNodes: n, OutOff: off, OutAdj: adj,
+		InOff: off, InAdj: adj, MaxOutDeg: d, MaxInDeg: d}}, true
 }

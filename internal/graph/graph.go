@@ -6,196 +6,95 @@
 // Undirected networks are represented as symmetric directed graphs, which is
 // exactly how Section 2 of the paper treats them ("undirected graphs can be
 // considered as directed with every edge replaced by two directed edges").
+//
+// Every graph is built once: a Builder collects edges in insertion order
+// and emits an immutable Graph stored as one int32 CSR, which the simulator
+// reads directly (Compile) and from which a bitmap view is derived on
+// demand (CompileBitmap).
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
+	"sync"
 )
 
-// Graph is a directed graph on nodes 0..N-1. Out[v] lists the nodes whose
-// receivers are reachable from v's transmitter; In[v] lists the nodes whose
-// transmissions can reach v. For undirected graphs the two coincide.
+// Graph is an immutable directed graph on nodes 0..N-1. Out(v) lists the
+// nodes whose receivers are reachable from v's transmitter; In(v) lists the
+// nodes whose transmissions can reach v. For undirected graphs the two
+// coincide and share storage.
 type Graph struct {
-	n          int
-	out        [][]int
-	in         [][]int
+	csr        CSR
 	undirected bool
 
-	// csr caches the compiled flat-adjacency view (see Compile) and bmp the
-	// bitmap-adjacency view (see CompileBitmap). Mutators store nil to
-	// invalidate both; atomic publication lets concurrent read-only users
-	// of a frozen graph share one compilation of each.
-	csr atomic.Pointer[CSR]
-	bmp atomic.Pointer[Bitmap]
-}
-
-// New returns an empty graph with n nodes and no edges. undirected selects
-// whether AddEdge inserts symmetric arcs.
-func New(n int, undirected bool) *Graph {
-	return &Graph{
-		n:          n,
-		out:        make([][]int, n),
-		in:         make([][]int, n),
-		undirected: undirected,
-	}
+	// bmp is the bitmap-adjacency view, derived on first CompileBitmap.
+	bmpOnce sync.Once
+	bmp     *Bitmap
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return g.csr.NumNodes }
 
 // Undirected reports whether the graph was built symmetric.
 func (g *Graph) Undirected() bool { return g.undirected }
 
-// Out returns the out-neighbors of v. The slice is owned by the graph and
-// must not be modified.
-func (g *Graph) Out(v int) []int { return g.out[v] }
+// Out returns the out-neighbors of v in insertion order. The slice is owned
+// by the graph and must not be modified.
+func (g *Graph) Out(v int) []int32 { return g.csr.OutSpan(v) }
 
-// In returns the in-neighbors of v. The slice is owned by the graph and must
-// not be modified.
-func (g *Graph) In(v int) []int { return g.in[v] }
+// In returns the in-neighbors of v in insertion order. The slice is owned
+// by the graph and must not be modified.
+func (g *Graph) In(v int) []int32 { return g.csr.InSpan(v) }
+
+// OutList returns a fresh []int copy of Out(v), for handing a neighbor list
+// to protocol code that owns it.
+func (g *Graph) OutList(v int) []int {
+	out := g.Out(v)
+	list := make([]int, len(out))
+	for i, w := range out {
+		list[i] = int(w)
+	}
+	return list
+}
 
 // OutDegree returns |Out(v)|.
-func (g *Graph) OutDegree(v int) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v int) int { return g.csr.OutDegree(v) }
 
 // InDegree returns |In(v)|.
-func (g *Graph) InDegree(v int) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v int) int { return int(g.csr.InOff[v+1] - g.csr.InOff[v]) }
 
 // Edges returns the number of directed arcs (an undirected edge counts as 2).
-func (g *Graph) Edges() int {
-	m := 0
-	for _, adj := range g.out {
-		m += len(adj)
-	}
-	return m
-}
-
-// AddEdge inserts the arc u->v (and v->u when the graph is undirected).
-// Self-loops and duplicate arcs are rejected with an error: the radio model
-// has no use for either, and silently ignoring them hides generator bugs.
-func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	if g.HasEdge(u, v) {
-		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-	}
-	g.addArc(u, v)
-	if g.undirected {
-		g.addArc(v, u)
-	}
-	return nil
-}
-
-// MustAddEdge is AddEdge for generators whose edges are correct by
-// construction; it panics on error.
-func (g *Graph) MustAddEdge(u, v int) {
-	if err := g.AddEdge(u, v); err != nil {
-		panic(err)
-	}
-}
-
-func (g *Graph) addArc(u, v int) {
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
-	g.csr.Store(nil)
-	g.bmp.Store(nil)
-}
-
-// removeEdge deletes the undirected edge {u, v}; generators use it for
-// degree-preserving swaps. It assumes the edge exists.
-func (g *Graph) removeEdge(u, v int) {
-	g.out[u] = removeValue(g.out[u], v)
-	g.in[v] = removeValue(g.in[v], u)
-	if g.undirected {
-		g.out[v] = removeValue(g.out[v], u)
-		g.in[u] = removeValue(g.in[u], v)
-	}
-	g.csr.Store(nil)
-	g.bmp.Store(nil)
-}
-
-func removeValue(xs []int, v int) []int {
-	for i, x := range xs {
-		if x == v {
-			xs[i] = xs[len(xs)-1]
-			return xs[:len(xs)-1]
-		}
-	}
-	return xs
-}
+func (g *Graph) Edges() int { return g.csr.Arcs() }
 
 // HasEdge reports whether the arc u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	// Scan the shorter list.
-	if len(g.out[u]) <= len(g.in[v]) {
-		for _, w := range g.out[u] {
-			if w == v {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range g.in[v] {
-		if w == u {
-			return true
-		}
-	}
-	return false
-}
-
-// SortAdjacency orders every adjacency list ascending, giving deterministic
-// iteration independent of insertion order.
-func (g *Graph) SortAdjacency() {
-	for v := 0; v < g.n; v++ {
-		sort.Ints(g.out[v])
-		sort.Ints(g.in[v])
-	}
-	g.csr.Store(nil)
-	g.bmp.Store(nil)
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n, g.undirected)
-	for v := 0; v < g.n; v++ {
-		c.out[v] = append([]int(nil), g.out[v]...)
-		c.in[v] = append([]int(nil), g.in[v]...)
-	}
-	return c
+	return u >= 0 && u < g.N() && v >= 0 && v < g.N() && slices.Contains(g.Out(u), int32(v))
 }
 
 // BFSLayers returns, for each node, its distance from the source (node 0)
 // following out-arcs, and the number of reachable nodes. Unreachable nodes
 // get distance -1.
 func (g *Graph) BFSLayers() (dist []int, reachable int) {
-	dist = make([]int, g.n)
+	n := g.N()
+	dist = make([]int, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	if g.n == 0 {
+	if n == 0 {
 		return dist, 0
 	}
 	dist[0] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, 0)
+	queue := append(make([]int, 0, n), 0)
 	reachable = 1
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.out[u] {
+		for _, v := range g.Out(u) {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				reachable++
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -207,16 +106,14 @@ func (g *Graph) BFSLayers() (dist []int, reachable int) {
 // node is unreachable from the source, since broadcast is then impossible.
 func (g *Graph) Radius() (int, error) {
 	dist, reachable := g.BFSLayers()
-	if reachable != g.n {
-		return 0, fmt.Errorf("graph: only %d of %d nodes reachable from source", reachable, g.n)
+	if reachable != g.N() {
+		return 0, fmt.Errorf("graph: only %d of %d nodes reachable from source", reachable, g.N())
 	}
-	max := 0
+	r := 0
 	for _, d := range dist {
-		if d > max {
-			max = d
-		}
+		r = max(r, d)
 	}
-	return max, nil
+	return r, nil
 }
 
 // Layers groups nodes by BFS distance from the source: Layers()[j] is the
@@ -224,21 +121,16 @@ func (g *Graph) Radius() (int, error) {
 // reachable.
 func (g *Graph) Layers() ([][]int, error) {
 	dist, reachable := g.BFSLayers()
-	if reachable != g.n {
-		return nil, fmt.Errorf("graph: only %d of %d nodes reachable from source", reachable, g.n)
+	if reachable != g.N() {
+		return nil, fmt.Errorf("graph: only %d of %d nodes reachable from source", reachable, g.N())
 	}
-	maxD := 0
-	for _, d := range dist {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	layers := make([][]int, maxD+1)
+	// Labels arrive in ascending order, so every layer comes out sorted.
+	layers := make([][]int, 1)
 	for v, d := range dist {
+		for len(layers) <= d {
+			layers = append(layers, nil)
+		}
 		layers[d] = append(layers[d], v)
-	}
-	for _, l := range layers {
-		sort.Ints(l)
 	}
 	return layers, nil
 }
@@ -247,49 +139,68 @@ func (g *Graph) Layers() ([][]int, error) {
 // the source message.
 var ErrNotBroadcastable = errors.New("graph: not all nodes reachable from source")
 
-// Validate checks structural invariants: adjacency symmetry for undirected
-// graphs, in/out consistency, no self-loops or duplicates, and that every
-// node is reachable from the source.
+// Validate checks that an undirected graph is symmetric and that every node
+// is reachable from the source; range, self-loop, duplicate and in/out
+// consistency hold by construction (see Builder). It runs in O(n+m) on one
+// allocation: a marker array, plus for undirected graphs a transpose whose
+// space later holds the BFS queue.
 func (g *Graph) Validate() error {
-	for v := 0; v < g.n; v++ {
-		seen := make(map[int]bool, len(g.out[v]))
-		for _, w := range g.out[v] {
-			if w < 0 || w >= g.n {
-				return fmt.Errorf("graph: arc (%d,%d) out of range", v, w)
-			}
-			if w == v {
-				return fmt.Errorf("graph: self-loop at %d", v)
-			}
-			if seen[w] {
-				return fmt.Errorf("graph: duplicate arc (%d,%d)", v, w)
-			}
-			seen[w] = true
-			if !contains(g.in[w], v) {
-				return fmt.Errorf("graph: arc (%d,%d) missing from in-list of %d", v, w, w)
-			}
-			if g.undirected && !g.HasEdge(w, v) {
-				return fmt.Errorf("graph: undirected graph missing reverse arc (%d,%d)", w, v)
+	n := g.N()
+	if n == 0 {
+		return nil
+	}
+	size := 2 * n
+	if g.undirected {
+		size += 1 + g.Edges()
+	}
+	buf := make([]int32, size)
+	mark, rest := buf[:n], buf[n:]
+	if g.undirected {
+		// Counting-sort the arcs by target and check each node's in-set lies
+		// in its out-set. Out-lists hold no duplicates, so neither do
+		// in-lists; both total m, so every inclusion is an equality.
+		off, adj := rest[:n+1], rest[n+1:]
+		for _, w := range g.csr.OutAdj {
+			off[w+1]++
+		}
+		for v := 0; v < n; v++ {
+			off[v+1] += off[v]
+		}
+		for u := 0; u < n; u++ {
+			for _, w := range g.Out(u) {
+				adj[off[w]] = int32(u)
+				off[w]++
 			}
 		}
-		for _, w := range g.in[v] {
-			if !contains(g.out[w], v) {
-				return fmt.Errorf("graph: in-arc (%d,%d) missing from out-list of %d", w, v, w)
+		// off[v] is now v's end, and v's start is v-1's end.
+		for v, start := 0, int32(0); v < n; v++ {
+			in := adj[start:off[v]]
+			start = off[v]
+			for _, w := range g.Out(v) {
+				mark[w] = int32(v + 1)
+			}
+			for _, u := range in {
+				if mark[u] != int32(v+1) {
+					return fmt.Errorf("graph: undirected graph missing reverse arc (%d,%d)", v, u)
+				}
 			}
 		}
 	}
-	if _, reachable := g.BFSLayers(); reachable != g.n {
+	// BFS from the source; -1 marks a visited node (stamps are positive).
+	queue := append(rest[:0:n], 0)
+	mark[0] = -1
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Out(int(queue[head])) {
+			if mark[w] != -1 {
+				mark[w] = -1
+				queue = append(queue, w)
+			}
+		}
+	}
+	if len(queue) != n {
 		return ErrNotBroadcastable
 	}
 	return nil
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // IsCompleteLayered reports whether the graph is a complete layered network
@@ -305,10 +216,7 @@ func (g *Graph) IsCompleteLayered() (bool, error) {
 		wantEdges += len(layers[i]) * len(layers[i+1])
 		for _, u := range layers[i] {
 			for _, v := range layers[i+1] {
-				if !g.HasEdge(u, v) {
-					return false, nil
-				}
-				if g.undirected && !g.HasEdge(v, u) {
+				if !g.HasEdge(u, v) { // and v->u, for undirected graphs
 					return false, nil
 				}
 			}
@@ -321,26 +229,6 @@ func (g *Graph) IsCompleteLayered() (bool, error) {
 	return g.Edges() == factor*wantEdges, nil
 }
 
-// Degrees returns (min, max, mean) out-degree.
-func (g *Graph) Degrees() (min, max int, mean float64) {
-	if g.n == 0 {
-		return 0, 0, 0
-	}
-	min = g.n
-	total := 0
-	for v := 0; v < g.n; v++ {
-		d := len(g.out[v])
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		total += d
-	}
-	return min, max, float64(total) / float64(g.n)
-}
-
 // Stats describes a graph in one line for logs and experiment tables.
 func (g *Graph) Stats() string {
 	d, err := g.Radius()
@@ -348,11 +236,21 @@ func (g *Graph) Stats() string {
 	if err == nil {
 		rad = fmt.Sprintf("%d", d)
 	}
-	mn, mx, mean := g.Degrees()
-	kind := "directed"
-	if g.undirected {
-		kind = "undirected"
+	lo, mean := 0, 0.0
+	if g.N() > 0 {
+		lo, mean = g.N(), float64(g.Edges())/float64(g.N())
+	}
+	for v := 0; v < g.N(); v++ {
+		lo = min(lo, g.OutDegree(v))
 	}
 	return fmt.Sprintf("%s n=%d arcs=%d radius=%s deg[min=%d max=%d mean=%.1f]",
-		kind, g.n, g.Edges(), rad, mn, mx, mean)
+		g.kind(), g.N(), g.Edges(), rad, lo, g.csr.MaxOutDeg, mean)
+}
+
+// kind names the graph's direction as the edge-list format spells it.
+func (g *Graph) kind() string {
+	if g.undirected {
+		return "undirected"
+	}
+	return "directed"
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestAddEdgeErrors(t *testing.T) {
-	g := New(3, true)
+	b := NewBuilder(3, true)
 	cases := []struct {
 		u, v int
 		want string
@@ -19,24 +20,41 @@ func TestAddEdgeErrors(t *testing.T) {
 		{1, 1, "self-loop"},
 	}
 	for _, c := range cases {
-		if err := g.AddEdge(c.u, c.v); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := b.AddEdge(c.u, c.v); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("AddEdge(%d,%d) err = %v, want containing %q", c.u, c.v, err, c.want)
 		}
 	}
-	if err := g.AddEdge(0, 1); err != nil {
+	if err := b.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(0, 1); err == nil {
-		t.Fatal("duplicate edge accepted")
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("rejected edges leaked into the builder: %v", err)
 	}
-	if err := g.AddEdge(1, 0); err == nil {
-		t.Fatal("reverse of undirected edge accepted as new")
+	dup := NewBuilder(3, true)
+	dup.MustAddEdge(0, 1)
+	dup.MustAddEdge(1, 2)
+	dup.MustAddEdge(0, 1)
+	if _, err := dup.Build(); err == nil || err.Error() != "graph: duplicate edge (0,1)" {
+		t.Fatalf("duplicate edge: Build err = %v", err)
+	}
+	rev := NewBuilder(3, true)
+	rev.MustAddEdge(0, 1)
+	rev.MustAddEdge(1, 0)
+	if _, err := rev.Build(); err == nil || err.Error() != "graph: duplicate edge (1,0)" {
+		t.Fatalf("reverse of undirected edge: Build err = %v", err)
+	}
+	directed := NewBuilder(3, false)
+	directed.MustAddEdge(0, 1)
+	directed.MustAddEdge(1, 0)
+	if _, err := directed.Build(); err != nil {
+		t.Fatalf("directed antiparallel arcs rejected: %v", err)
 	}
 }
 
 func TestUndirectedSymmetry(t *testing.T) {
-	g := New(4, true)
-	g.MustAddEdge(0, 2)
+	b := NewBuilder(4, true)
+	b.MustAddEdge(0, 2)
+	g := b.MustBuild()
 	if !g.HasEdge(2, 0) || !g.HasEdge(0, 2) {
 		t.Fatal("undirected edge not symmetric")
 	}
@@ -49,8 +67,9 @@ func TestUndirectedSymmetry(t *testing.T) {
 }
 
 func TestDirectedAsymmetry(t *testing.T) {
-	g := New(3, false)
-	g.MustAddEdge(0, 1)
+	b := NewBuilder(3, false)
+	b.MustAddEdge(0, 1)
+	g := b.MustBuild()
 	if g.HasEdge(1, 0) {
 		t.Fatal("directed graph created reverse arc")
 	}
@@ -77,8 +96,9 @@ func TestBFSAndRadius(t *testing.T) {
 }
 
 func TestRadiusUnreachable(t *testing.T) {
-	g := New(3, true)
-	g.MustAddEdge(0, 1)
+	b := NewBuilder(3, true)
+	b.MustAddEdge(0, 1)
+	g := b.MustBuild()
 	if _, err := g.Radius(); err == nil {
 		t.Fatal("Radius on disconnected graph did not error")
 	}
@@ -109,8 +129,9 @@ func TestLayers(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := Path(4)
-	// Corrupt: append an arc only to the out list.
-	g.out[1] = append(g.out[1], 3)
+	// Corrupt: redirect node 1's arc to 2 at 3, so 1->3 has no reverse.
+	c := g.Compile()
+	c.OutAdj[c.OutOff[1]+1] = 3
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed asymmetric corruption")
 	}
@@ -128,8 +149,11 @@ func TestIsCompleteLayered(t *testing.T) {
 	// A path of length >= 3 is NOT complete layered only when some layer has
 	// >1 node; a pure path IS complete layered (all layers singletons). Test
 	// a genuinely non-layered graph: layered plus a skip edge.
-	h, _ := CompleteLayered([]int{2, 2})
-	h.MustAddEdge(0, 3) // skip into layer 2
+	b := NewBuilder(5, true)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {0, 3}} {
+		b.MustAddEdge(e[0], e[1]) // CompleteLayered([]int{2, 2}) plus a skip into layer 2
+	}
+	h := b.MustBuild()
 	ok, err = h.IsCompleteLayered()
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +239,12 @@ func TestRandomTreeDistribution(t *testing.T) {
 	seen := map[string]int{}
 	for i := 0; i < 300; i++ {
 		g := RandomTree(3, src)
-		g.SortAdjacency()
 		key := ""
 		for v := 0; v < 3; v++ {
-			for _, w := range g.Out(v) {
-				if w > v {
+			out := slices.Clone(g.Out(v))
+			slices.Sort(out)
+			for _, w := range out {
+				if int(w) > v {
 					key += string(rune('a'+v)) + string(rune('a'+w))
 				}
 			}
@@ -326,36 +351,35 @@ func TestCaterpillar(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := Path(4)
-	c := g.Clone()
-	c.MustAddEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Fatal("Clone shares adjacency storage")
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := Path(3).Stats()
 	if !strings.Contains(s, "n=3") || !strings.Contains(s, "radius=2") {
 		t.Fatalf("Stats = %q", s)
 	}
-	g := New(2, true) // disconnected
+	g := edgeless(2, true) // disconnected
 	if !strings.Contains(g.Stats(), "∞") {
 		t.Fatalf("Stats = %q", g.Stats())
 	}
 }
 
-func TestSortAdjacencyDeterministic(t *testing.T) {
-	g := New(4, true)
-	g.MustAddEdge(0, 3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(0, 2)
-	g.SortAdjacency()
-	want := []int{1, 2, 3}
-	for i, v := range g.Out(0) {
-		if v != want[i] {
-			t.Fatalf("Out(0) = %v", g.Out(0))
+func TestBuilderKeepsInsertionOrder(t *testing.T) {
+	b := NewBuilder(4, true)
+	b.MustAddEdge(0, 3)
+	b.MustAddEdge(2, 0)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(3, 1)
+	g := b.MustBuild()
+	for v, want := range [][]int32{{3, 2, 1}, {0, 3}, {0}, {0, 1}} {
+		if !slices.Equal(g.Out(v), want) || !slices.Equal(g.In(v), want) {
+			t.Fatalf("node %d: Out %v In %v, want %v", v, g.Out(v), g.In(v), want)
 		}
+	}
+	d := NewBuilder(3, false)
+	d.MustAddEdge(2, 1)
+	d.MustAddEdge(0, 1)
+	d.MustAddEdge(1, 0)
+	dg := d.MustBuild()
+	if !slices.Equal(dg.In(1), []int32{2, 0}) || !slices.Equal(dg.Out(1), []int32{0}) {
+		t.Fatalf("directed: In(1) %v Out(1) %v", dg.In(1), dg.Out(1))
 	}
 }

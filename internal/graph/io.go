@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -20,9 +21,9 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s %s {\n", kind, name)
 	fmt.Fprintf(bw, "  0 [shape=doublecircle];\n")
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			if g.undirected && v < u {
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if g.undirected && int(v) < u {
 				continue
 			}
 			fmt.Fprintf(bw, "  %d %s %d;\n", u, sep, v)
@@ -39,14 +40,10 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 //	<u> <v>     (one edge per line; undirected edges listed once)
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	kind := "directed"
-	if g.undirected {
-		kind = "undirected"
-	}
-	fmt.Fprintf(bw, "nodes %d %s\n", g.n, kind)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			if g.undirected && v < u {
+	fmt.Fprintf(bw, "nodes %d %s\n", g.N(), g.kind())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if g.undirected && int(v) < u {
 				continue
 			}
 			fmt.Fprintf(bw, "%d %d\n", u, v)
@@ -56,12 +53,27 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 }
 
 // ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
-// starting with '#' are ignored.
+// starting with '#' are ignored. Edges keep their file order.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var g *Graph
+	var b *Builder
+	var lines []int // source line of every recorded edge
 	lineNo := 0
+	// fail reports err at line, unless an earlier line repeats an edge:
+	// the builder finds duplicates only when asked, and the first bad line
+	// in the file is the one to report.
+	fail := func(line int, err error) (*Graph, error) {
+		if b != nil {
+			if i := b.firstDuplicate(); i >= 0 {
+				line, err = lines[i], b.duplicateError(i)
+			}
+		}
+		if line == 0 {
+			return nil, fmt.Errorf("graph: %w", err)
+		}
+		return nil, fmt.Errorf("graph: line %d: %w", line, err)
+	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -69,40 +81,41 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if g == nil {
+		if b == nil {
 			if len(fields) != 3 || fields[0] != "nodes" {
-				return nil, fmt.Errorf("graph: line %d: expected \"nodes <n> <kind>\", got %q", lineNo, line)
+				return fail(lineNo, fmt.Errorf("expected \"nodes <n> <kind>\", got %q", line))
 			}
 			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
+			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 || n >= math.MaxInt32 {
+				return fail(lineNo, fmt.Errorf("bad node count %q", fields[1]))
 			}
-			switch fields[2] {
-			case "undirected":
-				g = New(n, true)
-			case "directed":
-				g = New(n, false)
-			default:
-				return nil, fmt.Errorf("graph: line %d: bad kind %q", lineNo, fields[2])
+			if fields[2] != "undirected" && fields[2] != "directed" {
+				return fail(lineNo, fmt.Errorf("bad kind %q", fields[2]))
 			}
+			b = NewBuilder(n, fields[2] == "undirected")
 			continue
 		}
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: expected \"<u> <v>\", got %q", lineNo, line)
+			return fail(lineNo, fmt.Errorf("expected \"<u> <v>\", got %q", line))
 		}
 		var u, v int
 		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			return fail(lineNo, err)
 		}
-		if err := g.AddEdge(u, v); err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+		if err := b.AddEdge(u, v); err != nil {
+			return fail(lineNo, err)
 		}
+		lines = append(lines, lineNo)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return fail(0, err)
 	}
-	if g == nil {
+	if b == nil {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	return g, nil
+	g, err := b.Build()
+	if err != nil && b.firstDuplicate() >= 0 {
+		return fail(lineNo, err)
+	}
+	return g, err
 }

@@ -26,8 +26,9 @@ func TestWriteDOTUndirected(t *testing.T) {
 }
 
 func TestWriteDOTDirected(t *testing.T) {
-	g := New(2, false)
-	g.MustAddEdge(0, 1)
+	b := NewBuilder(2, false)
+	b.MustAddEdge(0, 1)
+	g := b.MustBuild()
 	var buf bytes.Buffer
 	if err := g.WriteDOT(&buf, ""); err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		}
 		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Out(u) {
-				if !back.HasEdge(u, v) {
+				if !back.HasEdge(u, int(v)) {
 					t.Fatalf("lost edge (%d,%d)", u, v)
 				}
 			}
@@ -101,6 +102,22 @@ func TestReadEdgeListErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
+		}
+	}
+}
+
+func TestReadEdgeListReportsFirstBadLine(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"nodes 3 undirected\n0 1\n1 2\n0 1\n", "graph: line 4: graph: duplicate edge (0,1)"},
+		{"nodes 3 undirected\n0 1\n1 0\n0 9\n", "graph: line 3: graph: duplicate edge (1,0)"},
+		{"nodes 3 undirected\n0 1\n0 1\nbad line here\n", "graph: line 3: graph: duplicate edge (0,1)"},
+		{"nodes 3 undirected\n0 1\n2 2\n0 1\n", "graph: line 3: graph: self-loop at 2"},
+		{"nodes 3 directed\n0 1\n1 0\n0 3\n", "graph: line 4: graph: edge (0,3) out of range [0,3)"},
+	}
+	for _, c := range cases {
+		_, err := ReadEdgeList(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("input %q: err = %v, want %q", c.in, err, c.want)
 		}
 	}
 }

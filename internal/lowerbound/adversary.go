@@ -130,8 +130,9 @@ func Build(p radio.DeterministicProtocol, params Params) (*Construction, error) 
 		lmax:     lmax,
 		maxWait:  maxWait,
 		programs: map[int]radio.NodeProgram{},
+		edges:    graph.NewBuilder(n+1, true),
+		adj:      make([][]int, n+1),
 		cons: &Construction{
-			G:          graph.New(n+1, true),
 			N:          n,
 			D:          d,
 			K:          k,
@@ -155,6 +156,10 @@ type builder struct {
 	maxWait int
 
 	cons *Construction
+	// edges collects G_A for the final Build; adj mirrors it as the
+	// construction goes, because procedure Radio reads the partial graph.
+	edges *graph.Builder
+	adj   [][]int
 
 	// programs holds a live node program for every node with non-empty
 	// abstract history. Candidates not chosen at part 3 are deleted
@@ -206,7 +211,19 @@ func (b *builder) run() error {
 	}
 	b.attachLastLayer()
 	b.cons.StepsSimulated = t
-	return b.cons.G.Validate()
+	g, err := b.edges.Build()
+	if err != nil {
+		return err
+	}
+	b.cons.G = g
+	return g.Validate()
+}
+
+// link wires the undirected edge {u, v} into G_A.
+func (b *builder) link(u, v int) {
+	b.edges.MustAddEdge(u, v)
+	b.adj[u] = append(b.adj[u], v)
+	b.adj[v] = append(b.adj[v], u)
 }
 
 // collectActions calls Act(t) on every live program (in ascending label
@@ -237,7 +254,7 @@ func (b *builder) deliverConstructed(t int, skip int) {
 			continue
 		}
 		from, count := -1, 0
-		for _, u := range b.cons.G.Out(v) {
+		for _, u := range b.adj[v] {
 			if b.transmitted(u) {
 				from, count = u, count+1
 				if count > 1 {
@@ -303,7 +320,7 @@ func (b *builder) jamStage(i, tFirst int) (int, error) {
 
 	// L*_{2i-1}: node i's already-wired neighbors (for i = 0 there are
 	// none). Needed for the special delivery rule at node i.
-	starPrev := append([]int(nil), b.cons.G.Out(i)...)
+	starPrev := append([]int(nil), b.adj[i]...)
 
 	t := tFirst
 	for l := 1; l <= b.lmax; l++ {
@@ -393,14 +410,14 @@ func (b *builder) fixLayer(i int) error {
 	// Wire the edges: node i to all of L_{2i+1}; L* forward to node i+1
 	// (when it exists).
 	for _, w := range prime {
-		b.cons.G.MustAddEdge(i, w)
+		b.link(i, w)
 		b.used[w] = true
 	}
 	for _, w := range star {
-		b.cons.G.MustAddEdge(i, w)
+		b.link(i, w)
 		b.used[w] = true
 		if i+1 < b.d/2 {
-			b.cons.G.MustAddEdge(w, i+1)
+			b.link(w, i+1)
 		}
 	}
 	b.constructed = append(b.constructed, prime...)
@@ -432,7 +449,7 @@ func (b *builder) attachLastLayer() {
 		}
 		b.cons.LastLayer = append(b.cons.LastLayer, lbl)
 		for _, w := range lastStar {
-			b.cons.G.MustAddEdge(w, lbl)
+			b.link(w, lbl)
 		}
 	}
 }

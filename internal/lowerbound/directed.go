@@ -49,19 +49,29 @@ func (c *DirectedConstruction) Delay() int {
 // no past step has exactly one transmitter among the CURRENT live set —
 // sound because in a directed layered network nobody can observe a layer's
 // transmissions until the next layer exists.
+//
+// Member state is label-indexed and members are walked through the
+// ascending candidate list, so the game trace is replayable without
+// sorting.
 type layerGame struct {
-	live    map[int]bool
-	target  int
-	records [][]int       // per game step: live members that transmitted
-	counts  []int         // per game step: |live ∩ Y| under current live
-	stepsOf map[int][]int // member -> indices into records
+	candidates []int  // ascending; the live ones form the layer
+	live       []bool // by label
+	nLive      int
+	target     int
+	records    [][]int // per game step: live members that transmitted
+	counts     []int   // per game step: |live ∩ Y| under current live
+	stepsOf    [][]int // by label: indices into records
+	inBatch    []bool  // by label: scratch for one tentative removal
 }
 
-func newLayerGame(candidates []int, target int) *layerGame {
+func newLayerGame(candidates []int, target, labels int) *layerGame {
 	g := &layerGame{
-		live:    make(map[int]bool, len(candidates)),
-		target:  target,
-		stepsOf: map[int][]int{},
+		candidates: candidates,
+		live:       make([]bool, labels),
+		nLive:      len(candidates),
+		target:     target,
+		stepsOf:    make([][]int, labels),
+		inBatch:    make([]bool, labels),
 	}
 	for _, c := range candidates {
 		g.live[c] = true
@@ -73,11 +83,11 @@ func newLayerGame(candidates []int, target int) *layerGame {
 // returns (informer, true) when a singleton must stand — either because the
 // live set is already at the target size, or because removing it would
 // cascade below the target. Otherwise it prunes (possibly cascading) and
-// returns (removedCount, false info) via the second return being false.
+// returns the number of members removed.
 func (g *layerGame) observe(transmitting func(label int) bool) (informer int, crossed bool, removed int) {
 	y := make([]int, 0, 4)
-	for _, c := range sortedLabels(g.live) {
-		if transmitting(c) {
+	for _, c := range g.candidates {
+		if g.live[c] && transmitting(c) {
 			y = append(y, c)
 		}
 	}
@@ -91,8 +101,8 @@ func (g *layerGame) observe(transmitting func(label int) bool) (informer int, cr
 		return 0, false, 0
 	}
 	// Tentative batch removal with cascade.
-	batch := map[int]bool{y[0]: true}
-	queue := []int{y[0]}
+	batch := []int{y[0]}
+	g.inBatch[y[0]] = true
 	tmpCounts := map[int]int{} // record index -> tentative count override
 	countOf := func(i int) int {
 		if c, ok := tmpCounts[i]; ok {
@@ -100,10 +110,8 @@ func (g *layerGame) observe(transmitting func(label int) bool) (informer int, cr
 		}
 		return g.counts[i]
 	}
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		for _, i := range g.stepsOf[m] {
+	for q := 0; q < len(batch); q++ {
+		for _, i := range g.stepsOf[batch[q]] {
 			c := countOf(i) - 1
 			tmpCounts[i] = c
 			if c != 1 {
@@ -112,35 +120,45 @@ func (g *layerGame) observe(transmitting func(label int) bool) (informer int, cr
 			// Exactly one live, un-batched transmitter remains at step i:
 			// it must go too.
 			for _, cand := range g.records[i] {
-				if g.live[cand] && !batch[cand] {
-					batch[cand] = true
-					queue = append(queue, cand)
+				if g.live[cand] && !g.inBatch[cand] {
+					g.inBatch[cand] = true
+					batch = append(batch, cand)
 					break
 				}
 			}
 		}
 	}
-	if len(g.live)-len(batch) < g.target {
+	for _, m := range batch {
+		g.inBatch[m] = false
+	}
+	if g.nLive-len(batch) < g.target {
 		// Cannot prune without dropping below the target: the singleton
 		// stands and the layer crosses now. Roll back this step's record so
 		// the frozen set's history is exactly the steps before the cross.
 		return y[0], true, 0
 	}
-	// Commit the batch. Removal and count decrements commute, but iterate
-	// in sorted order anyway so the whole game trace is order-independent.
-	for _, m := range sortedLabels(batch) {
-		delete(g.live, m)
+	// Commit the batch. Removal and count decrements commute, so the
+	// cascade's order is as good as any.
+	for _, m := range batch {
+		g.live[m] = false
 		for _, i := range g.stepsOf[m] {
 			g.counts[i]--
 		}
-		delete(g.stepsOf, m)
+		g.stepsOf[m] = nil
 	}
+	g.nLive -= len(batch)
 	return 0, false, len(batch)
 }
 
 // frozen returns the final layer, sorted.
 func (g *layerGame) frozen() []int {
-	return sortedLabels(g.live)
+	layer := make([]int, 0, g.nLive)
+	for _, c := range g.candidates {
+		if g.live[c] {
+			layer = append(layer, c)
+		}
+	}
+	return layer
 }
 
 // BuildDirectedLayered plays the Clementi–Monti–Silvestri-style game of
@@ -182,11 +200,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 	}
 
 	cfg := radio.Config{N: n + 1, R: n}
-	cons := &DirectedConstruction{
-		G:          graph.New(n+1, false),
-		InformedAt: map[int]int{0: 0},
-	}
-	programs := map[int]radio.NodeProgram{0: p.NewNode(0, cfg)}
+	cons := &DirectedConstruction{InformedAt: map[int]int{0: 0}}
+	edges := graph.NewBuilder(n+1, false)
+	// Node state is label-indexed; a nil program is a node with an empty
+	// history.
+	programs := make([]radio.NodeProgram, n+1)
+	programs[0] = p.NewNode(0, cfg)
 
 	pool := bitset.New(n + 1)
 	for lbl := 1; lbl <= n; lbl++ {
@@ -194,20 +213,18 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 	}
 
 	t := 0
-	actions := map[int]any{}
+	sent := make([]bool, n+1)
+	payloads := make([]any, n+1)
 	step := func() {
 		t++
-		clear(actions)
-		for _, lbl := range sortedLabels(programs) {
-			if tx, payload := programs[lbl].Act(t); tx {
-				actions[lbl] = payload
+		for lbl, prog := range programs {
+			sent[lbl], payloads[lbl] = false, nil
+			if prog != nil {
+				sent[lbl], payloads[lbl] = prog.Act(t)
 			}
 		}
 	}
-	transmitting := func(lbl int) bool {
-		_, ok := actions[lbl]
-		return ok
-	}
+	transmitting := func(lbl int) bool { return sent[lbl] }
 	singletonOf := func(members []int) (int, bool) {
 		found, count := -1, 0
 		for _, m := range members {
@@ -228,7 +245,7 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 			if w, ok := singletonOf(prev); ok {
 				for _, v := range layer {
 					if !transmitting(v) {
-						programs[v].Deliver(t, radio.Message{From: w, Payload: actions[w]})
+						programs[v].Deliver(t, radio.Message{From: w, Payload: payloads[w]})
 					}
 				}
 			}
@@ -288,12 +305,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		candidates = candidates[:len(candidates)-reserve]
 		for _, c := range candidates {
 			prog := p.NewNode(c, cfg)
-			prog.Deliver(t, radio.Message{From: informer, Payload: actions[informer]})
+			prog.Deliver(t, radio.Message{From: informer, Payload: payloads[informer]})
 			programs[c] = prog
 			cons.InformedAt[c] = t
 		}
 
-		game := newLayerGame(candidates, target)
+		game := newLayerGame(candidates, target, n+1)
 		pendingInformer = -1
 		for {
 			step()
@@ -303,9 +320,9 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 			deliverFixed()
 			// Live candidates hear the previous layer's singletons.
 			if w, ok := singletonOf(prevLayer); ok {
-				for _, c := range sortedLabels(game.live) {
-					if !transmitting(c) {
-						programs[c].Deliver(t, radio.Message{From: w, Payload: actions[w]})
+				for _, c := range candidates {
+					if game.live[c] && !transmitting(c) {
+						programs[c].Deliver(t, radio.Message{From: w, Payload: payloads[w]})
 					}
 				}
 			}
@@ -322,20 +339,19 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		// Freeze layer i; pruned candidates return to the pool with reset
 		// histories.
 		layer := game.frozen()
-		keep := make(map[int]bool, len(layer))
 		for _, v := range layer {
-			keep[v] = true
 			pool.Remove(v)
 		}
 		for _, c := range candidates {
-			if !keep[c] {
-				delete(programs, c)
+			if !game.live[c] {
+				programs[c] = nil
 				delete(cons.InformedAt, c)
 			}
 		}
+		edges.Grow(len(prevLayer) * len(layer))
 		for _, u := range prevLayer {
 			for _, v := range layer {
-				cons.G.MustAddEdge(u, v)
+				edges.MustAddEdge(u, v)
 			}
 		}
 		cons.Layers = append(cons.Layers, layer)
@@ -355,7 +371,7 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		last := cons.Layers[len(cons.Layers)-1]
 		for _, v := range leftovers {
 			for _, u := range prev {
-				cons.G.MustAddEdge(u, v)
+				edges.MustAddEdge(u, v)
 			}
 			last = append(last, v)
 			pool.Remove(v)
@@ -363,7 +379,12 @@ func BuildDirectedLayered(p radio.DeterministicProtocol, params DirectedParams) 
 		sort.Ints(last)
 		cons.Layers[len(cons.Layers)-1] = last
 	}
-	return cons, cons.G.Validate()
+	g, err := edges.Build()
+	if err != nil {
+		return nil, err
+	}
+	cons.G = g
+	return cons, g.Validate()
 }
 
 // VerifyDirectedRealRun replays the protocol on the constructed directed

@@ -13,7 +13,7 @@ func TestLayerGameInvariant(t *testing.T) {
 	// Script a game directly: candidates 1..6, target 2. A singleton step
 	// must trigger removal; a later removal must cascade when it would
 	// expose a past singleton.
-	g := newLayerGame([]int{1, 2, 3, 4, 5, 6}, 2)
+	g := newLayerGame([]int{1, 2, 3, 4, 5, 6}, 2, 7)
 
 	txSet := func(members ...int) func(int) bool {
 		m := map[int]bool{}
@@ -58,7 +58,7 @@ func TestLayerGameAbortsCascadeBelowTarget(t *testing.T) {
 	// candidates {1,2,3}, target 2. Step 1: {1,2}. Step 2: {2}: removing 2
 	// would cascade to 1 (step 1 singleton), leaving only {3} < target —
 	// so the singleton must stand instead.
-	g := newLayerGame([]int{1, 2, 3}, 2)
+	g := newLayerGame([]int{1, 2, 3}, 2, 4)
 	tx := func(members ...int) func(int) bool {
 		m := map[int]bool{}
 		for _, v := range members {
@@ -73,7 +73,7 @@ func TestLayerGameAbortsCascadeBelowTarget(t *testing.T) {
 	if !crossed || inf != 2 || removed != 0 {
 		t.Fatalf("abort failed: inf=%d crossed=%v removed=%d", inf, crossed, removed)
 	}
-	if len(g.live) != 3 {
+	if g.nLive != 3 || !g.live[1] || !g.live[2] || !g.live[3] {
 		t.Fatal("abort mutated the live set")
 	}
 }
@@ -177,15 +177,15 @@ func directedVersion(g *graph.Graph, t *testing.T) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg := graph.New(g.N(), false)
+	b := graph.NewBuilder(g.N(), false)
 	for i := 0; i+1 < len(layers); i++ {
 		for _, u := range layers[i] {
 			for _, v := range layers[i+1] {
-				dg.MustAddEdge(u, v)
+				b.MustAddEdge(u, v)
 			}
 		}
 	}
-	return dg
+	return b.MustBuild()
 }
 
 func TestBuildDirectedRejectsUnsuitableProtocols(t *testing.T) {

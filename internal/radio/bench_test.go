@@ -248,9 +248,15 @@ func BenchmarkTallyCrossover(b *testing.B) {
 	}
 }
 
+// BenchmarkTallyDenseSlice is the pre-CSR tally shape BenchmarkTallyDenseCSR
+// is measured against: per-node []int adjacency spines and a dirty list.
 func BenchmarkTallyDenseSlice(b *testing.B) {
 	g := graph.Clique(256)
 	n := g.N()
+	adj := make([][]int, n)
+	for v := range adj {
+		adj[v] = g.OutList(v)
+	}
 	hits := make([]int32, n)
 	lastFrom := make([]int32, n)
 	dirty := make([]int, 0, n)
@@ -262,7 +268,7 @@ func BenchmarkTallyDenseSlice(b *testing.B) {
 	b.ResetTimer()
 	for bi := 0; bi < b.N; bi++ {
 		for i, u := range transmitters {
-			for _, v := range g.Out(u) {
+			for _, v := range adj[u] {
 				if hits[v] == 0 {
 					dirty = append(dirty, v)
 				}

@@ -19,7 +19,7 @@ import (
 // Both engines must report Completed with BroadcastTime 0 and simulate no
 // steps.
 func TestEdgeSingleNodeParity(t *testing.T) {
-	g := graph.New(1, true)
+	g := graph.NewBuilder(1, true).MustBuild()
 	for _, withFaults := range []bool{false, true} {
 		opt := Options{}
 		var plan *fault.Plan
@@ -83,8 +83,9 @@ func TestEdgeNegativeMaxSteps(t *testing.T) {
 // results (and no panic).
 func TestEdgeIsolatedSource(t *testing.T) {
 	// 0 is isolated; 1-2 are connected to each other only.
-	g := graph.New(3, true)
-	g.MustAddEdge(1, 2)
+	b := graph.NewBuilder(3, true)
+	b.MustAddEdge(1, 2)
+	g := b.MustBuild()
 	res, err := Run(g, flood{}, Config{}, Options{MaxSteps: 50})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("fast: err = %v, want ErrStepLimit", err)

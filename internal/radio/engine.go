@@ -558,8 +558,7 @@ func (r *Runner) deliver(t, v int, h int32, jammed, allNil bool) {
 
 func (r *Runner) newProgram(v int) NodeProgram {
 	if r.na != nil {
-		neighbors := append([]int(nil), r.g.Out(v)...)
-		return r.na.NewNodeWithNeighbors(v, neighbors, r.cfg)
+		return r.na.NewNodeWithNeighbors(v, r.g.OutList(v), r.cfg)
 	}
 	return r.p.NewNode(v, r.cfg)
 }

@@ -78,7 +78,7 @@ func TestRunnerRunIntoReusesResult(t *testing.T) {
 func TestRunnerValidationLeavesResultUntouched(t *testing.T) {
 	r := NewRunner()
 	res := Result{BroadcastTime: 99}
-	if err := r.RunInto(&res, graph.New(0, true), flood{}, Config{}, Options{}); err == nil {
+	if err := r.RunInto(&res, graph.NewBuilder(0, true).MustBuild(), flood{}, Config{}, Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if res.BroadcastTime != 99 {
@@ -109,7 +109,11 @@ func TestRunnerStepLimitThenReuse(t *testing.T) {
 	if res.Completed {
 		t.Fatal("livelock reported complete")
 	}
-	ok, err := r.Run(g.Clone(), flood{}, Config{}, Options{MaxSteps: 50})
+	again, err := graph.CompleteLayered([]int{2, 1}) // a distinct graph of the same shape
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := r.Run(again, flood{}, Config{}, Options{MaxSteps: 50})
 	if !errors.Is(err, ErrStepLimit) || ok.Collisions != res.Collisions {
 		t.Fatalf("reuse after step limit diverged: %+v vs %+v (err %v)", ok, res, err)
 	}

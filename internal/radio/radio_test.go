@@ -270,7 +270,7 @@ func TestSeedDeterminism(t *testing.T) {
 }
 
 func TestSingleNodeGraph(t *testing.T) {
-	g := graph.New(1, true)
+	g := graph.NewBuilder(1, true).MustBuild()
 	res, err := Run(g, flood{}, Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestSingleNodeGraph(t *testing.T) {
 }
 
 func TestEmptyGraphError(t *testing.T) {
-	if _, err := Run(graph.New(0, true), flood{}, Config{}, Options{}); err == nil {
+	if _, err := Run(graph.NewBuilder(0, true).MustBuild(), flood{}, Config{}, Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -328,9 +328,10 @@ func TestRunToMaxSteps(t *testing.T) {
 func TestDirectedDelivery(t *testing.T) {
 	// Directed path 0 -> 1 -> 2: flood completes; reverse arcs absent so no
 	// collisions at all.
-	g := graph.New(3, false)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
+	b := graph.NewBuilder(3, false)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(1, 2)
+	g := b.MustBuild()
 	res, err := Run(g, flood{}, Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)

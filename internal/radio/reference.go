@@ -11,8 +11,8 @@ import (
 // ReferenceGraph is the minimal topology view the naive oracle needs.
 type ReferenceGraph interface {
 	N() int
-	Out(v int) []int
-	In(v int) []int
+	Out(v int) []int32
+	In(v int) []int32
 }
 
 // RunReference is a deliberately naive implementation of the same model as
@@ -89,7 +89,11 @@ func RunReferenceObserved(g ReferenceGraph, p Protocol, cfg Config, maxSteps int
 
 	newProgram := func(v int) NodeProgram {
 		if na, ok := p.(NeighborAwareProtocol); ok {
-			return na.NewNodeWithNeighbors(v, append([]int(nil), g.Out(v)...), cfg)
+			neighbors := make([]int, 0, len(g.Out(v)))
+			for _, w := range g.Out(v) {
+				neighbors = append(neighbors, int(w))
+			}
+			return na.NewNodeWithNeighbors(v, neighbors, cfg)
 		}
 		return p.NewNode(v, cfg)
 	}
@@ -164,7 +168,7 @@ func RunReferenceObserved(g ReferenceGraph, p Protocol, cfg Config, maxSteps int
 			for u := 0; u < n; u++ {
 				if _, ok := tx[u]; ok {
 					for _, v := range g.Out(u) {
-						if st.LinkDown(t, u, v) {
+						if st.LinkDown(t, u, int(v)) {
 							c.LinksDropped++
 						}
 					}
@@ -185,7 +189,8 @@ func RunReferenceObserved(g ReferenceGraph, p Protocol, cfg Config, maxSteps int
 			}
 			from, count := -1, 0
 			jammed := false
-			for _, u := range g.In(v) {
+			for _, w := range g.In(v) {
+				u := int(w)
 				if _, ok := tx[u]; ok && (st == nil || !st.LinkDown(t, u, v)) {
 					from = u
 					count++

@@ -70,13 +70,13 @@ func TestReferenceStepLimit(t *testing.T) {
 }
 
 func TestReferenceEmptyGraph(t *testing.T) {
-	if _, err := RunReference(graph.New(0, true), flood{}, Config{}, 0); err == nil {
+	if _, err := RunReference(graph.NewBuilder(0, true).MustBuild(), flood{}, Config{}, 0); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestReferenceSingleNode(t *testing.T) {
-	res, err := RunReference(graph.New(1, true), flood{}, Config{}, 0)
+	res, err := RunReference(graph.NewBuilder(1, true).MustBuild(), flood{}, Config{}, 0)
 	if err != nil || !res.Completed || res.BroadcastTime != 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}

@@ -65,6 +65,9 @@ func (j *job) setStatus(s string) {
 }
 
 // finish records the terminal state and releases everyone waiting on done.
+// done closes before the context is cancelled: a waiter that sees the
+// cancellation then always finds done closed too, and serves the result
+// instead of answering 504 for a job that succeeded.
 func (j *job) finish(err error) {
 	j.mu.Lock()
 	if err != nil {
@@ -75,10 +78,10 @@ func (j *job) finish(err error) {
 		j.status = StatusDone
 	}
 	j.mu.Unlock()
+	close(j.done)
 	if j.cancel != nil {
 		j.cancel()
 	}
-	close(j.done)
 }
 
 // JobView is the JSON projection served by GET /v1/jobs/{id}.

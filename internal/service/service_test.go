@@ -496,3 +496,30 @@ func TestProtocolFor(t *testing.T) {
 		t.Fatalf("unknown protocol error = %v, want ErrUnknownProtocol", err)
 	}
 }
+
+// TestFinishClosesDoneBeforeCancel pins the order handleSimulate relies
+// on: once the job's context reports cancellation, done is already closed,
+// so a waiter woken by ctx.Done() finds the result instead of timing out.
+func TestFinishClosesDoneBeforeCancel(t *testing.T) {
+	for _, jobErr := range []error{nil, errors.New("boom")} {
+		ctx, cancel := context.WithCancel(context.Background())
+		j := &job{ctx: ctx, done: make(chan struct{})}
+		doneAtCancel := make(chan bool, 1)
+		j.cancel = func() {
+			select {
+			case <-j.done:
+				doneAtCancel <- true
+			default:
+				doneAtCancel <- false
+			}
+			cancel()
+		}
+		j.finish(jobErr)
+		if !<-doneAtCancel {
+			t.Fatalf("finish(%v): context cancelled while done was still open", jobErr)
+		}
+		if ctx.Err() == nil {
+			t.Fatalf("finish(%v) did not cancel the job context", jobErr)
+		}
+	}
+}

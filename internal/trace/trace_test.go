@@ -117,8 +117,9 @@ func TestAnalyzeProgressOnPath(t *testing.T) {
 }
 
 func TestProgressDisconnectedFails(t *testing.T) {
-	g := graph.New(3, true)
-	g.MustAddEdge(0, 1)
+	b := graph.NewBuilder(3, true)
+	b.MustAddEdge(0, 1)
+	g := b.MustBuild()
 	if _, err := AnalyzeProgress(g, &radio.Result{InformedAt: []int{0, 1, -1}}); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
