@@ -40,7 +40,9 @@ package adhocradio
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"strings"
 
 	"adhocradio/internal/core"
 	"adhocradio/internal/decay"
@@ -198,6 +200,38 @@ func NewDFSNeighborhood() DeterministicProtocol { return det.DFSNeighborhood{} }
 // announcement per step discovers every neighborhood, then a DFS token
 // finishes within 2n further steps.
 func NewSpontaneousLinear() DeterministicProtocol { return det.SpontaneousLinear{} }
+
+// protocols is the protocol-name table shared by radiosim's -proto flag and
+// radiosd's "protocol" field, in the order error messages list the names.
+var protocols = []struct {
+	name string
+	make func() Protocol
+}{
+	{"kp", NewOptimalRandomized},
+	{"kp-paper", func() Protocol { return core.NewPaperExact() }},
+	{"bgi", NewDecay},
+	{"rr", func() Protocol { return NewRoundRobin() }},
+	{"ss", func() Protocol { return NewSelectAndSend() }},
+	{"cl", func() Protocol { return NewCompleteLayered() }},
+	{"inter", func() Protocol { return NewInterleaved(NewRoundRobin(), NewSelectAndSend()) }},
+}
+
+// ProtocolByName returns a fresh instance of the protocol with the given
+// short name: kp (NewOptimalRandomized), kp-paper (the paper's exact
+// constants), bgi (NewDecay), rr, ss, cl, or inter (rr and ss interleaved).
+// An unknown name yields an error wrapping ErrUnknownProtocol.
+func ProtocolByName(name string) (Protocol, error) {
+	for _, p := range protocols {
+		if p.name == name {
+			return p.make(), nil
+		}
+	}
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownProtocol, name, strings.Join(names, ", "))
+}
 
 // Topology generators. All label the source 0; all returned graphs are
 // broadcastable.

@@ -2,6 +2,7 @@ package adhocradio
 
 import (
 	"context"
+	"errors"
 
 	"adhocradio/internal/experiment"
 	"adhocradio/internal/graph"
@@ -22,6 +23,10 @@ var ErrBudgetExhausted = radio.ErrStepLimit
 // ErrUnknownExperiment is reported (wrapped) by RunExperiment and
 // RunExperimentContext when the experiment ID is not registered.
 var ErrUnknownExperiment = experiment.ErrUnknownExperiment
+
+// ErrUnknownProtocol is reported (wrapped) by ProtocolByName when the name
+// is not in the protocol table; the message lists the known names.
+var ErrUnknownProtocol = errors.New("unknown protocol")
 
 // ErrInvalidTopologySpec is reported (wrapped) by TopologySpec methods when
 // a spec names an unknown kind or violates a generator's constraints.

@@ -73,3 +73,22 @@ func TestErrUnknownExperiment(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnknownExperiment", err)
 	}
 }
+
+// TestProtocolByName: every table name resolves to a fresh protocol, and an
+// unknown name wraps ErrUnknownProtocol and lists the known names.
+func TestProtocolByName(t *testing.T) {
+	for _, want := range protocols {
+		p, err := ProtocolByName(want.name)
+		if err != nil || p == nil || p.Name() == "" {
+			t.Fatalf("ProtocolByName(%q) = %v, %v", want.name, p, err)
+		}
+	}
+	_, err := ProtocolByName("zigzag")
+	if !errors.Is(err, ErrUnknownProtocol) {
+		t.Fatalf("err = %v, want ErrUnknownProtocol", err)
+	}
+	const msg = `unknown protocol "zigzag" (known: kp, kp-paper, bgi, rr, ss, cl, inter)`
+	if err.Error() != msg {
+		t.Fatalf("err = %q, want %q", err, msg)
+	}
+}

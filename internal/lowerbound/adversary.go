@@ -129,7 +129,9 @@ func Build(p radio.DeterministicProtocol, params Params) (*Construction, error) 
 		k:        k,
 		lmax:     lmax,
 		maxWait:  maxWait,
-		programs: map[int]radio.NodeProgram{},
+		programs: make([]radio.NodeProgram, n+1),
+		sent:     make([]bool, n+1),
+		payloads: make([]any, n+1),
 		edges:    graph.NewBuilder(n+1, true),
 		adj:      make([][]int, n+1),
 		cons: &Construction{
@@ -161,10 +163,10 @@ type builder struct {
 	edges *graph.Builder
 	adj   [][]int
 
-	// programs holds a live node program for every node with non-empty
-	// abstract history. Candidates not chosen at part 3 are deleted
-	// (their histories are reset to empty, construction point 6).
-	programs map[int]radio.NodeProgram
+	// programs holds, by label, a live node program for every node with
+	// non-empty abstract history; nil is an empty history. Candidates not
+	// chosen at part 3 are reset to nil (construction point 6).
+	programs []radio.NodeProgram
 	// constructed lists nodes already wired into G_A, sorted.
 	constructed []int
 	// used marks labels assigned to a layer (or reserved for even layers).
@@ -175,9 +177,9 @@ type builder struct {
 	jam        *jammer
 	ySets      []*bitset.Set
 
-	// Per-step action buffers.
-	txLabels   []int
-	txPayloads map[int]any
+	// Per-step actions, by label.
+	sent     []bool
+	payloads []any
 }
 
 // run drives the whole construction.
@@ -190,7 +192,6 @@ func (b *builder) run() error {
 	b.programs[0] = b.proto.NewNode(0, b.cfg)
 	b.cons.InformedAt[0] = 0
 	b.constructed = []int{0}
-	b.txPayloads = map[int]any{}
 
 	t := 0
 	for i := 0; i < d/2; i++ {
@@ -229,20 +230,15 @@ func (b *builder) link(u, v int) {
 // collectActions calls Act(t) on every live program (in ascending label
 // order, for determinism) and records transmitters and payloads.
 func (b *builder) collectActions(t int) {
-	b.txLabels = b.txLabels[:0]
-	clear(b.txPayloads)
-	for _, lbl := range sortedLabels(b.programs) {
-		if tx, payload := b.programs[lbl].Act(t); tx {
-			b.txLabels = append(b.txLabels, lbl)
-			b.txPayloads[lbl] = payload
+	for lbl, prog := range b.programs {
+		b.sent[lbl], b.payloads[lbl] = false, nil
+		if prog != nil {
+			b.sent[lbl], b.payloads[lbl] = prog.Act(t)
 		}
 	}
 }
 
-func (b *builder) transmitted(lbl int) bool {
-	_, ok := b.txPayloads[lbl]
-	return ok
-}
+func (b *builder) transmitted(lbl int) bool { return b.sent[lbl] }
 
 // deliverConstructed applies procedure Radio to every constructed node
 // except `skip` (the node whose reception the jamming answer dictates):
@@ -271,9 +267,9 @@ func (b *builder) deliverConstructed(t int, skip int) {
 // deliver hands a message to node v's program, creating it on first
 // contact (unless the payload is label-only, which cannot inform).
 func (b *builder) deliver(v, t, from int) {
-	payload := b.txPayloads[from]
-	prog, ok := b.programs[v]
-	if !ok {
+	payload := b.payloads[from]
+	prog := b.programs[v]
+	if prog == nil {
 		if c, isCarrier := payload.(radio.SourceCarrier); isCarrier && !c.CarriesSourceMessage() {
 			return
 		}
@@ -432,7 +428,7 @@ func (b *builder) fixLayer(i int) error {
 	// Point 6: unchosen candidates' histories are reset to empty.
 	for _, c := range b.candidates {
 		if !b.used[c] {
-			delete(b.programs, c)
+			b.programs[c] = nil
 			delete(b.cons.InformedAt, c)
 		}
 	}
@@ -507,10 +503,10 @@ func VerifyRealRun(p radio.DeterministicProtocol, c *Construction, maxSteps int)
 	if err != nil {
 		return res, fmt.Errorf("lowerbound: real run: %w", err)
 	}
-	for _, v := range sortedLabels(c.InformedAt) {
-		if want := c.InformedAt[v]; res.InformedAt[v] != want {
+	for v, got := range res.InformedAt {
+		if want, ok := c.InformedAt[v]; ok && got != want {
 			return res, fmt.Errorf("lowerbound: Lemma 9 violated: node %d informed at %d in the real run, %d in the construction",
-				v, res.InformedAt[v], want)
+				v, got, want)
 		}
 	}
 	return res, nil

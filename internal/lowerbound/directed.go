@@ -395,10 +395,10 @@ func VerifyDirectedRealRun(p radio.DeterministicProtocol, c *DirectedConstructio
 	if err != nil {
 		return res, fmt.Errorf("lowerbound: directed real run: %w", err)
 	}
-	for _, v := range sortedLabels(c.InformedAt) {
-		if want := c.InformedAt[v]; res.InformedAt[v] != want {
+	for v, got := range res.InformedAt {
+		if want, ok := c.InformedAt[v]; ok && got != want {
 			return res, fmt.Errorf("lowerbound: directed equivalence violated: node %d informed at %d, construction says %d",
-				v, res.InformedAt[v], want)
+				v, got, want)
 		}
 	}
 	return res, nil

@@ -19,8 +19,8 @@ import (
 // Concurrent misses for the same key coalesce: the first request becomes the
 // builder, later ones block on the entry's ready channel and reuse the
 // result (counted as hits — they did not build). Cached graphs are shared by
-// concurrent workers, which is safe because the engine only reads them and
-// Graph's compiled-form caches are atomic-pointer published.
+// concurrent workers, which is safe because a Graph is an immutable CSR: the
+// engine only reads it, and its bitmap form is derived once under sync.Once.
 type graphCache struct {
 	capacity int
 

@@ -19,8 +19,8 @@ type SimulateRequest struct {
 	// canonical form of this spec is the compiled-graph cache key, so two
 	// requests with equivalent specs share one compiled topology.
 	Topology graph.Spec `json:"topology"`
-	// Protocol names the algorithm, using cmd/radiosim's names:
-	// kp, kp-paper, bgi, rr, ss, cl, inter.
+	// Protocol names the algorithm, as in adhocradio.ProtocolByName (and
+	// radiosim's -proto): kp, kp-paper, bgi, rr, ss, cl, inter.
 	Protocol string `json:"protocol"`
 	// Seed drives all protocol randomness; same request, same response.
 	Seed uint64 `json:"seed"`

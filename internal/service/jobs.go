@@ -138,22 +138,18 @@ func (s *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// counts tallies terminal and non-terminal jobs; active must be zero after
-// a graceful drain (nothing accepted was dropped).
-func (s *jobStore) counts() (done, failed, active int) {
+// active counts jobs not yet done or failed; it must be zero after a
+// graceful drain (nothing accepted was dropped).
+func (s *jobStore) active() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := 0
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		switch j.status {
-		case StatusDone:
-			done++
-		case StatusFailed:
-			failed++
-		default:
-			active++
+		if j.status != StatusDone && j.status != StatusFailed {
+			n++
 		}
 		j.mu.Unlock()
 	}
-	return done, failed, active
+	return n
 }

@@ -28,9 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adhocradio/internal/core"
-	"adhocradio/internal/decay"
-	"adhocradio/internal/det"
+	"adhocradio"
 	"adhocradio/internal/experiment"
 	"adhocradio/internal/obs"
 	"adhocradio/internal/radio"
@@ -46,7 +44,7 @@ var (
 	ErrDraining = errors.New("service: draining, not accepting jobs")
 	// ErrUnknownProtocol is wrapped by protocolFor for unrecognized
 	// protocol names; handlers map it to 400.
-	ErrUnknownProtocol = errors.New("service: unknown protocol")
+	ErrUnknownProtocol = adhocradio.ErrUnknownProtocol
 )
 
 // Config sizes the service. Zero values select sensible defaults.
@@ -269,13 +267,12 @@ func (s *Service) Drain() DrainReport {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	done, failed, active := s.jobs.counts()
 	c, _ := obs.Default.Snapshot()
 	return DrainReport{
-		Completed: int64(done),
-		Failed:    int64(failed),
+		Completed: s.completed.Load(),
+		Failed:    s.failed.Load(),
 		Rejected:  s.rejected.Load(),
-		Active:    active,
+		Active:    s.jobs.active(),
 		CacheHits: s.cache.hits.Load(),
 		CacheMiss: s.cache.misses.Load(),
 		Counters:  c,
@@ -289,26 +286,13 @@ func (s *Service) draining() bool {
 	return !s.accepting
 }
 
-// protocolFor maps the wire protocol name to a fresh protocol instance,
-// using the same names as cmd/radiosim's -proto flag. The error wraps
-// ErrUnknownProtocol.
+// protocolFor resolves a wire protocol name through the library's protocol
+// table (adhocradio.ProtocolByName, shared with cmd/radiosim's -proto flag).
+// The error wraps ErrUnknownProtocol.
 func protocolFor(name string) (radio.Protocol, error) {
-	switch name {
-	case "kp":
-		return core.New(), nil
-	case "kp-paper":
-		return core.NewPaperExact(), nil
-	case "bgi":
-		return decay.New(), nil
-	case "rr":
-		return det.RoundRobin{}, nil
-	case "ss":
-		return det.SelectAndSend{}, nil
-	case "cl":
-		return det.CompleteLayered{}, nil
-	case "inter":
-		return det.NewInterleaved(det.RoundRobin{}, det.SelectAndSend{}), nil
-	default:
-		return nil, fmt.Errorf("%w %q (known: kp, kp-paper, bgi, rr, ss, cl, inter)", ErrUnknownProtocol, name)
+	p, err := adhocradio.ProtocolByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
+	return p, nil
 }

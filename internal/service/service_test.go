@@ -336,6 +336,10 @@ func TestGracefulDrain(t *testing.T) {
 	if rep.Completed != 2 {
 		t.Fatalf("drain report completed = %d, want 2", rep.Completed)
 	}
+	// The shed request is a rejection, not a failed job.
+	if rep.Failed != 0 {
+		t.Fatalf("drain report failed = %d, want 0", rep.Failed)
+	}
 	if rep.Rejected == 0 {
 		t.Fatal("drain report rejected = 0, want >= 1 (the shed request)")
 	}
@@ -492,8 +496,14 @@ func TestProtocolFor(t *testing.T) {
 			t.Fatalf("protocolFor(%q) returned unnamed protocol", name)
 		}
 	}
-	if _, err := protocolFor("zigzag"); !errors.Is(err, ErrUnknownProtocol) {
+	_, err := protocolFor("zigzag")
+	if !errors.Is(err, ErrUnknownProtocol) {
 		t.Fatalf("unknown protocol error = %v, want ErrUnknownProtocol", err)
+	}
+	// The text is radiosd's 400 body; clients may already match on it.
+	const msg = `service: unknown protocol "zigzag" (known: kp, kp-paper, bgi, rr, ss, cl, inter)`
+	if err.Error() != msg {
+		t.Fatalf("unknown protocol error = %q, want %q", err, msg)
 	}
 }
 
