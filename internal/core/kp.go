@@ -68,7 +68,7 @@ type Protocol struct {
 	err   error
 }
 
-var _ radio.Protocol = (*Protocol)(nil)
+var _ radio.CoinProtocol = (*Protocol)(nil)
 
 // New returns the algorithm with the paper's structure and simulation-scale
 // constants (StageFactor 16, no fallback). Use NewWithParams for full
@@ -108,9 +108,18 @@ func (p *Protocol) Name() string {
 // configurations Validate would have rejected.
 func (p *Protocol) Validate(cfg radio.Config) error {
 	p.once.Do(func() {
-		p.sched, p.err = buildSchedule(cfg.LabelBound(), p.params)
+		p.sched, p.err = memoSchedule(cfg.LabelBound(), p.params)
 	})
 	return p.err
+}
+
+// mustSchedule is Validate for the entry points without an error path.
+func (p *Protocol) mustSchedule(cfg radio.Config) *schedule {
+	if err := p.Validate(cfg); err != nil {
+		//radiolint:ignore nopanic radio.Protocol.NewNode and CoinSchedule have no error path; Validate exposes this error before any node is built
+		panic(fmt.Sprintf("core: invalid parameters: %v", err))
+	}
+	return p.sched
 }
 
 // NewNode implements radio.Protocol. The schedule is built lazily from the
@@ -118,16 +127,19 @@ func (p *Protocol) Validate(cfg radio.Config) error {
 // invalid parameters — check with Validate first, or the programmer error
 // panics here.
 func (p *Protocol) NewNode(label int, cfg radio.Config) radio.NodeProgram {
-	if err := p.Validate(cfg); err != nil {
-		//radiolint:ignore nopanic radio.Protocol.NewNode has no error path; Validate exposes this error before any node is built
-		panic(fmt.Sprintf("core: invalid parameters: %v", err))
-	}
 	return &node{
-		sched:      p.sched,
+		sched:      p.mustSchedule(cfg),
 		source:     label == 0,
 		src:        rng.NewStream(cfg.Seed, uint64(label)),
 		informedAt: -1,
 	}
+}
+
+// CoinSchedule implements radio.CoinProtocol: the algorithm is oblivious,
+// so the engine can run it from the shared schedule alone. It panics where
+// NewNode would.
+func (p *Protocol) CoinSchedule(cfg radio.Config) func(t int) radio.CoinStep {
+	return p.mustSchedule(cfg).coinAt
 }
 
 // phase is one execution of Randomized-Broadcasting(d) (or of the BGI
@@ -154,9 +166,65 @@ type schedule struct {
 	cycle  int
 }
 
+// scheduleMemoCap bounds the schedule memo. Callers that make a fresh
+// Protocol per trial or per request (benchmarks, radiosd) share schedules
+// through it instead of rebuilding one each time (0.9 ms and ~8,000
+// allocations at n = 2048). One experiment sweep uses a few dozen label
+// bounds at most; past the cap the oldest entry is evicted, so any number
+// of distinct sizes leaves the memo at this size.
+const scheduleMemoCap = 64
+
+type scheduleKey struct {
+	labelBound int
+	params     Params
+}
+
+// scheduleMemo maps (label bound, Params) to a built schedule. A schedule
+// is a pure function of its key and is never written after buildSchedule
+// returns, so one value is shared read-only by every protocol, node and
+// goroutine that asks for it.
+var scheduleMemo = struct {
+	sync.Mutex
+	m     map[scheduleKey]*schedule
+	order []scheduleKey // insertion order, oldest first
+}{m: make(map[scheduleKey]*schedule, scheduleMemoCap)}
+
+// memoSchedule returns the memoised schedule for (labelBound, p), building
+// it outside the lock on a miss. Errors are not memoised.
+func memoSchedule(labelBound int, p Params) (*schedule, error) {
+	key := scheduleKey{labelBound, p}
+	scheduleMemo.Lock()
+	s := scheduleMemo.m[key]
+	scheduleMemo.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	s, err := buildSchedule(labelBound, p)
+	if err != nil {
+		return nil, err
+	}
+	scheduleMemo.Lock()
+	defer scheduleMemo.Unlock()
+	if prev := scheduleMemo.m[key]; prev != nil {
+		return prev, nil // a concurrent caller built it first
+	}
+	if len(scheduleMemo.order) == scheduleMemoCap {
+		delete(scheduleMemo.m, scheduleMemo.order[0])
+		n := copy(scheduleMemo.order, scheduleMemo.order[1:])
+		scheduleMemo.order = scheduleMemo.order[:n]
+	}
+	scheduleMemo.m[key] = s
+	scheduleMemo.order = append(scheduleMemo.order, key)
+	return s, nil
+}
+
 func buildSchedule(labelBound int, p Params) (*schedule, error) {
 	if labelBound < 1 {
 		return nil, fmt.Errorf("label bound %d < 1", labelBound)
+	}
+	if math.IsNaN(p.FallbackFactor) || math.IsInf(p.FallbackFactor, 0) {
+		// A NaN would also never equal itself as a memo key.
+		return nil, fmt.Errorf("fallback factor %v is not finite", p.FallbackFactor)
 	}
 	logR := sequences.CeilLog2(labelBound + 1)
 	s := &schedule{rPow: 1 << logR, logR: logR}
@@ -249,26 +317,15 @@ func (s *schedule) locate(t int) (*phase, int) {
 	return &s.phases[0], pos // unreachable; starts[0] == 0
 }
 
-type node struct {
-	sched      *schedule
-	source     bool
-	src        *rng.Source
-	informedAt int // step the node was informed; 0 for source, -1 unset
-}
-
-// Act implements radio.NodeProgram.
-func (n *node) Act(t int) (bool, any) {
-	if n.informedAt < 0 {
-		if !n.source {
-			return false, nil
-		}
-		n.informedAt = 0
-	}
-	ph, pos := n.sched.locate(t)
+// coinAt resolves absolute step t >= 1: the one definition of the
+// algorithm's behaviour that the engine (through CoinSchedule), the node
+// programs and KnownRadiusSchedule all read.
+func (s *schedule) coinAt(t int) radio.CoinStep {
+	ph, pos := s.locate(t)
 	if ph.sourceStep {
 		if pos == 0 {
 			// "the source transmits".
-			return n.source, payload{}
+			return radio.CoinStep{SourceOnly: true}
 		}
 		pos--
 	}
@@ -276,22 +333,36 @@ func (n *node) Act(t int) (bool, any) {
 	inStage := pos % ph.stageLen
 	// "if node v received source message before Stage(D, i) then v performs
 	// Stage(D, i)": the stage begins at absolute step t - inStage.
-	if n.informedAt >= t-inStage {
-		return false, nil
+	st := radio.CoinStep{Exp: inStage, Start: t - inStage}
+	if inStage > ph.ladderMax {
+		// The extra step: transmit with probability p_i from the universal
+		// sequence.
+		st.Exp = ph.seq.ExponentAt(stageIdx)
 	}
-	if inStage <= ph.ladderMax {
-		if n.src.CoinPow2(inStage) {
-			return true, payload{}
+	return st
+}
+
+type node struct {
+	sched      *schedule
+	source     bool
+	src        *rng.Source
+	informedAt int // step the node was informed; 0 for source, -1 unset
+}
+
+// Act implements radio.NodeProgram. Every transmission carries the source
+// message and nothing else, so the payload is nil.
+func (n *node) Act(t int) (bool, any) {
+	if n.informedAt < 0 {
+		if !n.source {
+			return false, nil
 		}
-		return false, nil
+		n.informedAt = 0
 	}
-	// The extra step: transmit with probability p_i from the universal
-	// sequence.
-	e := ph.seq.ExponentAt(stageIdx)
-	if e >= 0 && n.src.CoinPow2(e) {
-		return true, payload{}
+	st := n.sched.coinAt(t)
+	if st.SourceOnly {
+		return n.source, nil
 	}
-	return false, nil
+	return st.Fires(n.informedAt, n.src), nil
 }
 
 // Deliver implements radio.NodeProgram.
@@ -300,10 +371,6 @@ func (n *node) Deliver(t int, msg radio.Message) {
 		n.informedAt = t
 	}
 }
-
-// payload is the (empty) broadcast message; every transmission implicitly
-// carries the source message.
-type payload struct{}
 
 // ScheduleView exposes the exact per-step transmission probabilities of a
 // protocol configuration, for the analytic oracle in internal/exact.
@@ -321,49 +388,34 @@ type ScheduleView struct {
 }
 
 // KnownRadiusSchedule returns the schedule of the single-phase procedure
-// Randomized-Broadcasting(D) (Params{KnownRadius: knownRadius}). The values
-// must match node.Act coin for coin; the exact package's oracle tests
-// enforce that.
+// Randomized-Broadcasting(D) (Params{KnownRadius: knownRadius}), read off
+// the same coinAt the node programs and the engine use; the exact
+// package's oracle tests check it against real runs.
 func KnownRadiusSchedule(labelBound, knownRadius int) (*ScheduleView, error) {
-	s, err := buildSchedule(labelBound, Params{StageFactor: DefaultStageFactor, KnownRadius: knownRadius})
+	s, err := memoSchedule(labelBound, Params{StageFactor: DefaultStageFactor, KnownRadius: knownRadius})
 	if err != nil {
 		return nil, err
 	}
-	ph := &s.phases[0]
-	view := &ScheduleView{StageLen: ph.stageLen}
+	stageLen := s.phases[0].stageLen
+	view := &ScheduleView{StageLen: stageLen}
 	view.ProbAt = func(t int) float64 {
-		pos := (t - 1) % s.cycle
-		if ph.sourceStep {
-			if pos == 0 {
-				return 1 // the source transmits; SourceOnly marks the step
-			}
-			pos--
-		}
-		stageIdx := pos/ph.stageLen + 1
-		inStage := pos % ph.stageLen
-		if inStage <= ph.ladderMax {
-			return math.Pow(2, -float64(inStage))
-		}
-		e := ph.seq.ExponentAt(stageIdx)
-		if e < 0 {
+		st := s.coinAt(t)
+		switch {
+		case st.SourceOnly:
+			return 1 // the source transmits; SourceOnly marks the step
+		case st.Exp < 0:
 			return 0
 		}
-		return math.Pow(2, -float64(e))
+		return math.Pow(2, -float64(st.Exp))
 	}
 	view.SourceOnly = func(t int) bool {
-		return ph.sourceStep && (t-1)%s.cycle == 0
+		return s.coinAt(t).SourceOnly
 	}
 	view.StageEndsAt = func(t int) bool {
-		pos := (t - 1) % s.cycle
-		if ph.sourceStep {
-			if pos == 0 {
-				// Nodes informed by the opening transmission participate
-				// from stage 1: promote immediately.
-				return true
-			}
-			pos--
-		}
-		return pos%ph.stageLen == ph.stageLen-1
+		st := s.coinAt(t)
+		// Nodes informed by the opening transmission participate from
+		// stage 1: promote immediately.
+		return st.SourceOnly || t == st.Start+stageLen-1
 	}
 	return view, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"adhocradio/internal/graph"
@@ -265,11 +267,97 @@ func TestValidateExposesParameterErrors(t *testing.T) {
 		t.Fatal("Validate forgot the schedule error on a second call")
 	}
 
+	// A non-finite fallback factor is rejected before it reaches the
+	// schedule memo, where a NaN key could never be found or evicted.
+	scheduleMemo.Lock()
+	before := len(scheduleMemo.m)
+	scheduleMemo.Unlock()
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := NewWithParams(Params{FallbackFactor: c}).Validate(radio.Config{N: 64})
+		if err == nil || !strings.Contains(err.Error(), "fallback factor") {
+			t.Fatalf("Validate with FallbackFactor %v = %v, want fallback-factor error", c, err)
+		}
+	}
+	scheduleMemo.Lock()
+	after := len(scheduleMemo.m)
+	scheduleMemo.Unlock()
+	if after != before {
+		t.Fatalf("rejected parameters changed the memo size %d -> %d", before, after)
+	}
+
 	good := New()
 	if err := good.Validate(radio.Config{N: 64}); err != nil {
 		t.Fatalf("Validate on a valid config = %v", err)
 	}
 	if prog := good.NewNode(1, radio.Config{N: 64}); prog == nil {
 		t.Fatal("NewNode returned nil after successful Validate")
+	}
+}
+
+// TestScheduleMemoSharedAndBounded pins the schedule memo: fresh protocol
+// values with the same (label bound, Params) share one schedule, and any
+// number of distinct label bounds leaves the memo at its fixed capacity.
+func TestScheduleMemoSharedAndBounded(t *testing.T) {
+	a, b := New(), New()
+	cfg := radio.Config{N: 512}
+	if err := a.Validate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Validate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if a.sched != b.sched {
+		t.Fatal("two fresh protocols with equal parameters built separate schedules")
+	}
+	if c := NewWithParams(Params{DisableUniversalStep: true}); c.Validate(cfg) != nil || c.sched == a.sched {
+		t.Fatal("different Params shared a schedule")
+	}
+	params := Params{StageFactor: 1, KnownRadius: 2}
+	for bound := 1; bound <= 3*scheduleMemoCap; bound++ {
+		if _, err := memoSchedule(bound, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scheduleMemo.Lock()
+	size, order := len(scheduleMemo.m), len(scheduleMemo.order)
+	scheduleMemo.Unlock()
+	if size > scheduleMemoCap || size != order {
+		t.Fatalf("memo holds %d schedules (%d in order), capacity %d", size, order, scheduleMemoCap)
+	}
+	// The newest entry is still shared.
+	s1, _ := memoSchedule(3*scheduleMemoCap, params)
+	s2, _ := memoSchedule(3*scheduleMemoCap, params)
+	if s1 != s2 {
+		t.Fatal("memo did not share its newest entry")
+	}
+}
+
+// TestScheduleMemoConcurrent has goroutines race to build and read the same
+// memo entries, the shape of parallel trials each making a fresh Protocol;
+// run under -race it checks the memo's locking, and every goroutine must
+// end up with the one shared schedule per key.
+func TestScheduleMemoConcurrent(t *testing.T) {
+	const workers, bounds = 8, 4
+	got := make([][bounds]*schedule, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < bounds; i++ {
+				p := NewWithParams(Params{StageFactor: 3})
+				if err := p.Validate(radio.Config{N: 100 + i}); err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][i] = p.sched
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if got[w] != got[0] {
+			t.Fatalf("worker %d saw different schedules than worker 0", w)
+		}
 	}
 }

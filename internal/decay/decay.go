@@ -24,7 +24,7 @@ type Protocol struct {
 	StageLength int
 }
 
-var _ radio.Protocol = (*Protocol)(nil)
+var _ radio.CoinProtocol = (*Protocol)(nil)
 
 // New returns the standard BGI Decay protocol.
 func New() *Protocol { return &Protocol{} }
@@ -32,71 +32,65 @@ func New() *Protocol { return &Protocol{} }
 // Name implements radio.Protocol.
 func (p *Protocol) Name() string { return "bgi-decay" }
 
+// stages returns the run's ladder under cfg.
+func (p *Protocol) stages(cfg radio.Config) ladder {
+	if p.StageLength > 0 {
+		return ladder(p.StageLength)
+	}
+	return ladder(sequences.CeilLog2(cfg.LabelBound()+1) + 1)
+}
+
 // NewNode implements radio.Protocol.
 func (p *Protocol) NewNode(label int, cfg radio.Config) radio.NodeProgram {
-	k := p.StageLength
-	if k <= 0 {
-		k = sequences.CeilLog2(cfg.LabelBound()+1) + 1
+	n := &node{
+		stages:     p.stages(cfg),
+		src:        rng.NewStream(cfg.Seed, uint64(label)),
+		informedAt: -1,
 	}
-	return &node{
-		stageLen: k,
-		source:   label == 0,
-		src:      rng.NewStream(cfg.Seed, uint64(label)),
+	if label == 0 {
+		n.informedAt = 0 // the source holds the message from step 0
 	}
+	return n
+}
+
+// CoinSchedule implements radio.CoinProtocol: Decay is oblivious, so the
+// engine can run it from the shared ladder alone.
+func (p *Protocol) CoinSchedule(cfg radio.Config) func(t int) radio.CoinStep {
+	return p.stages(cfg).at
+}
+
+// ladder is the Decay schedule with stages of the given length, the first
+// starting at step 1.
+type ladder int
+
+// at resolves step t: position l of a stage transmits with probability
+// 2^-l, and a node participates from the first stage that starts after it
+// was informed (the source, informed at step 0, from stage 1). This is the
+// one definition the node programs and the engine both read.
+func (k ladder) at(t int) radio.CoinStep {
+	pos := (t - 1) % int(k)
+	return radio.CoinStep{Exp: pos, Start: t - pos}
 }
 
 type node struct {
-	stageLen   int
-	source     bool
+	stages     ladder
 	src        *rng.Source
-	firstStage int // first stage this node participates in; 0 = unset
+	informedAt int // -1 until informed; 0 for the source
 }
 
-// firstStageAfter returns the index (1-based) of the first stage whose first
-// step is strictly after step t0, for stages of length k starting at step 1.
-func firstStageAfter(t0, k int) int {
-	// Stage s spans steps (s-1)k+1 .. sk; its start is after t0 iff
-	// (s-1)k+1 > t0, i.e. s > t0/k + (1 if k divides t0 evenly... ).
-	return t0/k + 1 + boolToInt(t0%k != 0)
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Act implements radio.NodeProgram.
+// Act implements radio.NodeProgram. Every transmission carries the source
+// message and nothing else, so the payload is nil.
 func (n *node) Act(t int) (bool, any) {
-	if n.firstStage == 0 {
-		// First Act call: the simulator only drives informed nodes, so for
-		// the source this is step 1 (informed at step 0); for any other
-		// node Deliver has already set firstStage.
-		if !n.source {
-			// Defensive: a non-source node must have been informed first.
-			return false, nil
-		}
-		n.firstStage = 1
-	}
-	stage := (t-1)/n.stageLen + 1
-	if stage < n.firstStage {
+	if n.informedAt < 0 {
+		// Defensive: the simulator only drives informed nodes.
 		return false, nil
 	}
-	pos := (t - 1) % n.stageLen
-	if n.src.CoinPow2(pos) {
-		return true, payload{}
-	}
-	return false, nil
+	return n.stages.at(t).Fires(n.informedAt, n.src), nil
 }
 
 // Deliver implements radio.NodeProgram.
 func (n *node) Deliver(t int, msg radio.Message) {
-	if n.firstStage == 0 {
-		n.firstStage = firstStageAfter(t, n.stageLen)
+	if n.informedAt < 0 {
+		n.informedAt = t
 	}
 }
-
-// payload is the (empty) broadcast message: every transmission implicitly
-// carries the source message.
-type payload struct{}

@@ -9,6 +9,8 @@ import (
 )
 
 func TestFirstStageAfter(t *testing.T) {
+	// A node informed at step t0 participates from the first stage that
+	// starts strictly after t0.
 	cases := []struct{ t0, k, want int }{
 		{0, 5, 1},  // source: participates from stage 1
 		{1, 5, 2},  // informed mid-stage 1 -> stage 2
@@ -17,8 +19,14 @@ func TestFirstStageAfter(t *testing.T) {
 		{10, 5, 3}, // end of stage 2 -> stage 3
 	}
 	for _, c := range cases {
-		if got := firstStageAfter(c.t0, c.k); got != c.want {
-			t.Errorf("firstStageAfter(%d,%d) = %d, want %d", c.t0, c.k, got, c.want)
+		first := 0
+		for step := 1; first == 0; step++ {
+			if c.t0 < ladder(c.k).at(step).Start {
+				first = (step-1)/c.k + 1
+			}
+		}
+		if first != c.want {
+			t.Errorf("informed at %d with k=%d: first stage %d, want %d", c.t0, c.k, first, c.want)
 		}
 	}
 }

@@ -291,6 +291,16 @@ func (s *State) LinkDown(t, u, v int) bool {
 	return false
 }
 
+// ArcFaults reports whether the plan has faults that act on arcs rather
+// than on whole nodes: link loss, churn or jammers. Without them (crash and
+// sleep plans) every LinkDown is false and no node is ever jammed, so a
+// simulator may skip the per-arc probes.
+//
+//radiolint:mirror-exempt dispatch hint for the CSR engine; the naive oracle probes LinkDown on every arc and JamAt on every in-neighbor, which carry the semantics
+func (s *State) ArcFaults() bool {
+	return s.plan.LinkLoss > 0 || s.plan.ChurnProb > 0 || len(s.jammers) > 0
+}
+
 // JammerNodes returns the compiled jammer host list (empty when jamming is
 // off). The slice is owned by the State; callers must not modify it.
 //

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adhocradio/internal/bitset"
+	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/rng"
 )
@@ -27,12 +28,19 @@ func reportSteps(b *testing.B, totalSteps int) {
 
 func benchRun(b *testing.B, g *graph.Graph, p Protocol, maxSteps int) {
 	b.Helper()
+	benchRunFaults(b, g, p, maxSteps, nil)
+}
+
+// benchRunFaults is benchRun under a fault plan.
+func benchRunFaults(b *testing.B, g *graph.Graph, p Protocol, maxSteps int, plan *fault.Plan) {
+	b.Helper()
 	b.ReportAllocs()
 	totalSteps := 0
 	for i := 0; i < b.N; i++ {
 		// Fixed step budget: measure per-step cost; the protocol may well
 		// be incomplete at the cap.
-		res, err := Run(g, p, Config{Seed: uint64(i + 1)}, Options{MaxSteps: maxSteps, RunToMaxSteps: true})
+		res, err := Run(g, p, Config{Seed: uint64(i + 1)},
+			Options{MaxSteps: maxSteps, RunToMaxSteps: true, Fault: plan})
 		if err != nil && !errors.Is(err, ErrStepLimit) {
 			b.Fatal(err)
 		}
@@ -48,6 +56,28 @@ func BenchmarkSimulatorSparseLoad(b *testing.B) {
 	src := rng.New(1)
 	g := graph.GNPConnected(1024, 4.0/1024, src)
 	benchRun(b, g, coin{}, 200)
+}
+
+// BenchmarkSimulatorCoinLoad is the engine's coin path on the shape of the
+// steps-clean benchmark's dominant trial (KP on RandomLayered(2048, 128,
+// 0.3)): a Decay-like coin protocol whose schedule the engine resolves once
+// per step, drawing every informed node's coin from a flat stream array.
+func BenchmarkSimulatorCoinLoad(b *testing.B) {
+	g, err := graph.RandomLayered(2048, 128, 0.3, rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRun(b, g, ladderCoin{k: 12}, 400)
+}
+
+// BenchmarkSimulatorNodeFaults is a crash-only plan (E17's shape: GNP(512)
+// of mean degree 6, a fifth of the nodes crashing within n steps) under the
+// coin protocol: node-only plans take the fault-free tallies and drop down
+// receivers at delivery.
+func BenchmarkSimulatorNodeFaults(b *testing.B) {
+	g := graph.GNPConnected(512, 6.0/512, rng.New(4))
+	plan := &fault.Plan{Seed: 5, CrashFrac: 0.2, CrashWindow: 512}
+	benchRunFaults(b, g, ladderCoin{k: 10}, 1000, plan)
 }
 
 // BenchmarkSimulatorDenseLoad is the dense saturation workload: every step

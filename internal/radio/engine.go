@@ -10,15 +10,23 @@ import (
 	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
 	"adhocradio/internal/obs"
+	"adhocradio/internal/rng"
 )
 
 // Runner is a reusable simulation engine. It owns every piece of per-run
 // scratch the hot loop needs — reception counters, last-sender table,
-// half-duplex flags, the program table, transmitter/payload buffers — so
-// repeated trials on same-sized graphs perform zero steady-state allocations
-// beyond whatever the protocol's own NewNode does. The zero value is ready
-// to use; the package-level Run is a thin wrapper that spins up a fresh
-// Runner per call.
+// half-duplex flags, the program table, the per-node coin streams,
+// transmitter/payload buffers — so repeated trials on same-sized graphs
+// perform zero steady-state allocations beyond whatever the protocol's own
+// NewNode does. The zero value is ready to use; the package-level Run is a
+// thin wrapper that spins up a fresh Runner per call.
+//
+// Per step the engine first collects the transmitters. A CoinProtocol
+// (KP, Decay) runs without node programs: the engine resolves its shared
+// schedule once per step and draws each informed node's coin from a flat
+// array of per-node rng streams, and every transmission carries a nil
+// payload. Any other protocol is driven through NodeProgram.Act, one call
+// per informed node. The choice is made once per run.
 //
 // The engine walks the graph's compiled CSR form (graph.Compile): flat
 // int32 adjacency arrays instead of [][]int spines. Per step it picks one
@@ -30,6 +38,9 @@ import (
 // with nil payloads — a bit-parallel kernel that ORs cached bitmap
 // adjacency rows (graph.CompileBitmap) into two saturating bitplanes, 64
 // receivers per ALU op (see tallyBitset and the DESIGN.md dispatch table).
+// Fault plans that only take nodes down (crash, sleep) use the same three
+// tallies, with a down receiver dropped at delivery; plans with arc faults
+// (link loss, churn, jammers) take the per-arc tallyFaulty instead.
 // All orders of delivery are observationally identical: node programs are
 // isolated state machines, so no program can see the order in which other
 // nodes were served within a step.
@@ -52,6 +63,7 @@ type Runner struct {
 	transmitted []bool  // half-duplex: transmitted in the current step
 	dirty       []int32 // nodes hit this step (sparse path only)
 	programs    []NodeProgram
+	coins       []rng.Source // per-node coin streams (coin path only)
 
 	// Bitplane scratch for the bit-parallel tally kernel (tallyBitset),
 	// each bitset.Words(n) long. Between steps all three are all-zero; the
@@ -82,12 +94,20 @@ type Runner struct {
 	// semantics. Snapshot with Counters(), window with Counters().Diff.
 	counters obs.Counters
 
+	// tallySteps counts steps per tally path (indexed by the path*
+	// constants) across every run, like counters. It records how the engine
+	// did the work, which the oracle cannot mirror, so it stays outside
+	// obs.Counters; tests read it to pin which paths real protocols reach.
+	tallySteps [numTallyPaths]int64
+
 	// Run-scoped state; cleared by finish so a pooled Runner does not pin
 	// graphs or programs alive between trials.
 	res           *Result
 	g             *graph.Graph
 	p             Protocol
 	na            NeighborAwareProtocol
+	coinAt        func(t int) CoinStep // non-nil: the coin path is on
+	down          *fault.State         // non-nil: receivers are gated on NodeDown
 	cfg           Config
 	opt           Options
 	spontaneous   bool
@@ -214,6 +234,18 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	if sp, ok := p.(SpontaneousProtocol); ok && sp.Spontaneous() {
 		r.spontaneous = true
 	}
+	r.coinAt = nil // a run that panicked never reached finish
+	if cp, ok := p.(CoinProtocol); ok && r.na == nil && !r.spontaneous {
+		r.coinAt = cp.CoinSchedule(cfg)
+		if cap(r.coins) < n {
+			r.coins = make([]rng.Source, n)
+		}
+		r.coins = r.coins[:n]
+	}
+	// Every active plan gates receivers on NodeDown at delivery; only arc
+	// faults (loss, churn, jammers) need the per-arc tally.
+	r.down = fs
+	arcFaults := fs != nil && fs.ArcFaults()
 	r.active = r.active[:0]
 	r.active = append(r.active, 0)
 	r.programs[0] = r.newProgram(0)
@@ -255,31 +287,30 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		// total out-degree (to pick the tally strategy) and whether any
 		// payload is non-nil (nil payloads skip the boxing-sensitive
 		// SourceCarrier probing on every delivery). Nodes a fault plan has
-		// down (crashed or asleep) are not consulted at all.
+		// down (crashed or asleep) are not consulted at all. Coin protocols
+		// take actCoins, which always sends nil payloads.
 		r.transmitters = r.transmitters[:0]
 		r.payloads = r.payloads[:0]
 		allNil := true
 		arcs := 0
-		for _, v := range r.active {
-			if fs != nil && fs.NodeDown(t, v) {
-				// Mirror rule: RunReferenceObserved discriminates the same
-				// way, so the crash/sleep counters gate differentially.
-				if fs.Crashed(t, v) {
-					r.counters.CrashSkips++
-				} else {
-					r.counters.SleepSkips++
+		if r.coinAt != nil {
+			arcs = r.actCoins(t, fs, outOff)
+		} else {
+			for _, v := range r.active {
+				if fs != nil && fs.NodeDown(t, v) {
+					r.skipDown(t, v, fs)
+					continue
 				}
-				continue
-			}
-			tx, payload := r.programs[v].Act(t)
-			if tx {
-				r.transmitters = append(r.transmitters, v)
-				r.payloads = append(r.payloads, payload)
-				if payload != nil {
-					allNil = false
+				tx, payload := r.programs[v].Act(t)
+				if tx {
+					r.transmitters = append(r.transmitters, v)
+					r.payloads = append(r.payloads, payload)
+					if payload != nil {
+						allNil = false
+					}
+					r.transmitted[v] = true
+					arcs += int(outOff[v+1] - outOff[v])
 				}
-				r.transmitted[v] = true
-				arcs += int(outOff[v+1] - outOff[v])
 			}
 		}
 		res.Transmissions += int64(len(r.transmitters))
@@ -289,12 +320,14 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		}
 
 		// Phases 2+3: tally receptions over the flat CSR arrays, then
-		// deliver. hits is restored to all-zero on the way out. Faulty runs
-		// take their own tally (per-arc loss checks and jam marks); the two
-		// fault-free paths below stay branch-free.
+		// deliver. hits is restored to all-zero on the way out. Plans with
+		// arc faults take their own tally (per-arc loss checks and jam
+		// marks); the three paths below stay branch-free per arc, and a
+		// node-only plan's down receivers are dropped in deliver.
 		r.receptions = r.receptions[:0]
 		hits, lastFrom := r.hits, r.lastFrom
-		if fs != nil {
+		if arcFaults {
+			r.tallySteps[pathFaulty]++
 			r.tallyFaulty(t, n, outOff, outAdj, fs, allNil)
 		} else if bm != nil && allNil && arcs >= n &&
 			arcs >= bitsetArcFactor*len(r.transmitters)*bm.WordsPerRow {
@@ -303,11 +336,13 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 			// (payload routing needs per-hit transmitter identity) and only
 			// when the scalar per-arc work exceeds the kernel's per-word
 			// work by the measured crossover factor.
+			r.tallySteps[pathBitset]++
 			r.tallyBitset(t, bm, allNil)
 		} else if arcs >= n {
 			// Dense path: branch-free saturating-by-construction counters
 			// (a step has at most n-1 in-transmitters per node), then a
 			// full sweep.
+			r.tallySteps[pathDense]++
 			for i, u := range r.transmitters {
 				for _, v := range outAdj[outOff[u]:outOff[u+1]] {
 					hits[v]++
@@ -328,6 +363,7 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 		} else {
 			// Sparse path: track first-touch nodes so the sweep visits only
 			// what was hit.
+			r.tallySteps[pathSparse]++
 			dirty := r.dirty[:0]
 			for i, u := range r.transmitters {
 				for _, v := range outAdj[outOff[u]:outOff[u+1]] {
@@ -370,6 +406,73 @@ func (r *Runner) RunIntoContext(ctx context.Context, res *Result, g *graph.Graph
 	}
 	r.finish()
 	return nil
+}
+
+// Tally paths, the indices of Runner.tallySteps.
+const (
+	pathSparse = iota
+	pathDense
+	pathBitset
+	pathFaulty
+	numTallyPaths
+)
+
+// actCoins is phase 1 of the coin path. It resolves the protocol's shared
+// schedule for step t once, then walks the informed nodes and draws each
+// participating node's coin from its flat stream through CoinStep.Fires,
+// the call the protocol's NodeProgram makes, so results and rng streams
+// match the program path bit for bit. Transmissions carry
+// nil payloads. Down nodes draw nothing and are booked as skips, like on
+// the program path. It returns the transmitters' total out-degree.
+//
+//radiolint:hotpath
+func (r *Runner) actCoins(t int, fs *fault.State, outOff []int32) int {
+	st := r.coinAt(t)
+	if st.SourceOnly || st.Exp < 0 {
+		if fs != nil {
+			for _, v := range r.active {
+				if fs.NodeDown(t, v) {
+					r.skipDown(t, v, fs)
+				}
+			}
+		}
+		if !st.SourceOnly {
+			return 0
+		}
+		// Fault plans never take the source down.
+		r.transmitters = append(r.transmitters, 0)
+		r.transmitted[0] = true
+		return int(outOff[1] - outOff[0])
+	}
+	informedAt, coins := r.res.InformedAt, r.coins
+	arcs := 0
+	for _, v := range r.active {
+		if fs != nil && fs.NodeDown(t, v) {
+			r.skipDown(t, v, fs)
+			continue
+		}
+		if !st.Fires(informedAt[v], &coins[v]) {
+			continue
+		}
+		r.transmitters = append(r.transmitters, v)
+		r.transmitted[v] = true
+		arcs += int(outOff[v+1] - outOff[v])
+	}
+	return arcs
+}
+
+// skipDown books an active node that a fault plan has down at step t: a
+// lost transmit opportunity, counted as a crash skip when the node crashed
+// and as a sleep skip otherwise. RunReferenceObserved discriminates the
+// same way, so the crash/sleep counters gate differentially.
+//
+//radiolint:hotpath
+func (r *Runner) skipDown(t, v int, fs *fault.State) {
+	if fs.Crashed(t, v) {
+		r.counters.CrashSkips++
+	} else {
+		r.counters.SleepSkips++
+	}
 }
 
 // bitsetArcFactor is the dispatch crossover between the dense scalar tally
@@ -449,13 +552,14 @@ func (r *Runner) tallyBitset(t int, bm *graph.Bitmap, allNil bool) {
 	bitset.Zero(tx)
 }
 
-// tallyFaulty is the fault-aware tally: sparse-style first-touch tracking
-// with a per-arc LinkDown check, jam-noise marks from the plan's jammers,
-// and a NodeDown gate on every receiver. Semantics (mirrored exactly by
-// RunReferenceWithFaults): a down node hears nothing and counts nothing; a
-// dropped arc contributes no hit; jam noise turns a single legitimate hit
-// into a collision but is itself indistinguishable from silence, so noise
-// with zero legitimate hits produces no event at all.
+// tallyFaulty is the tally for plans with arc faults: sparse-style
+// first-touch tracking with a per-arc LinkDown check and jam-noise marks
+// from the plan's jammers; deliver drops down receivers, as on every
+// faulty run. Semantics (mirrored exactly by RunReferenceWithFaults): a
+// down node hears nothing and counts nothing; a dropped arc contributes no
+// hit; jam noise turns a single legitimate hit into a collision but is
+// itself indistinguishable from silence, so noise with zero legitimate
+// hits produces no event at all.
 //
 //radiolint:hotpath
 func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, allNil bool) {
@@ -494,8 +598,8 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, 
 		v := int(v32)
 		h := hits[v]
 		hits[v] = 0
-		if r.transmitted[v] || fs.NodeDown(t, v) {
-			continue // half-duplex, or the receiver is down
+		if r.transmitted[v] {
+			continue // half-duplex: transmitters hear nothing
 		}
 		r.deliver(t, v, h, r.jammed[v], allNil)
 	}
@@ -506,12 +610,16 @@ func (r *Runner) tallyFaulty(t, n int, outOff, outAdj []int32, fs *fault.State, 
 
 // deliver serves one non-transmitting node that was hit h times in step t:
 // exactly one hit is a reception, two or more a collision. A jammed
-// receiver's single hit is destroyed by the noise and becomes a collision.
+// receiver's single hit is destroyed by the noise and becomes a collision,
+// and a receiver the run's fault plan has down hears nothing at all.
 // allNil short-circuits payload handling when no transmitter attached one
 // this step.
 //
 //radiolint:hotpath
 func (r *Runner) deliver(t, v int, h int32, jammed, allNil bool) {
+	if r.down != nil && r.down.NodeDown(t, v) {
+		return // a down node hears nothing and counts nothing
+	}
 	switch {
 	case h == 1 && !jammed:
 		i := r.lastFrom[v]
@@ -556,7 +664,14 @@ func (r *Runner) deliver(t, v int, h int32, jammed, allNil bool) {
 	}
 }
 
+// newProgram starts node v's program when it is informed. On the coin
+// path that is just its coin stream, and the program is the stateless
+// coinStub placeholder that deliver can call.
 func (r *Runner) newProgram(v int) NodeProgram {
+	if r.coinAt != nil {
+		r.coins[v] = rng.Stream(r.cfg.Seed, uint64(v))
+		return coinStub{}
+	}
 	if r.na != nil {
 		return r.na.NewNodeWithNeighbors(v, r.g.OutList(v), r.cfg)
 	}
@@ -576,7 +691,7 @@ func (r *Runner) ensure(n int, opt Options) {
 		r.hits, r.lastFrom, r.transmitted, r.dirty = nil, nil, nil, nil
 		r.hitOnce, r.hitTwice, r.txPlane = nil, nil, nil
 		r.jammed, r.jamDirty = nil, nil
-		r.programs, r.active = nil, nil
+		r.programs, r.coins, r.active = nil, nil, nil
 		r.transmitters, r.payloads, r.receptions = nil, nil, nil
 	}
 	r.running = true
@@ -640,7 +755,16 @@ func (r *Runner) finish() {
 	r.dirty = r.dirty[:0]
 	r.jamDirty = r.jamDirty[:0]
 	r.res, r.g, r.p, r.na = nil, nil, nil, nil
+	r.coinAt, r.down = nil, nil
 	r.cfg, r.opt = Config{}, Options{}
 	r.informedCount = 0
 	r.running = false
 }
+
+// coinStub stands in for a coin-path node's program. The engine never asks
+// it to act, and the receptions it is handed change nothing: a coin node's
+// whole state is its informing step, which the Result already records.
+type coinStub struct{}
+
+func (coinStub) Act(int) (bool, any)  { return false, nil }
+func (coinStub) Deliver(int, Message) {}

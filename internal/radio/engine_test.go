@@ -141,25 +141,45 @@ func (n *panicAtNode) Act(t int) (bool, any) {
 }
 func (n *panicAtNode) Deliver(t int, msg Message) {}
 
-// TestRunnerRecoversFromPanickedRun checks the poisoned-scratch path: a run
-// that unwinds mid-step must not corrupt the next run on the same engine.
-func TestRunnerRecoversFromPanickedRun(t *testing.T) {
-	r := NewRunner()
-	g := graph.Path(6)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic from protocol")
-			}
-		}()
-		_, _ = r.Run(g, panicAt{step: 3}, Config{}, Options{})
-	}()
-	res, err := r.Run(g, flood{}, Config{}, Options{})
-	if err != nil {
-		t.Fatal(err)
+// panicCoin is ladderCoin with a schedule that panics at a chosen step, to
+// poison the engine mid-step on the coin path.
+type panicCoin struct {
+	ladderCoin
+	step int
+}
+
+func (p panicCoin) CoinSchedule(cfg Config) func(t int) CoinStep {
+	at := p.ladderCoin.CoinSchedule(cfg)
+	return func(t int) CoinStep {
+		if t == p.step {
+			panic("protocol bug") //radiolint:ignore nopanic test fixture: simulates a buggy protocol to exercise engine poisoning recovery
+		}
+		return at(t)
 	}
-	if res.BroadcastTime != 5 || !res.Completed {
-		t.Fatalf("post-panic run diverged: %+v", res)
+}
+
+// TestRunnerRecoversFromPanickedRun checks the poisoned-scratch path: a run
+// that unwinds mid-step, on the program path or the coin path, must not
+// corrupt the next run on the same engine.
+func TestRunnerRecoversFromPanickedRun(t *testing.T) {
+	g := graph.Path(6)
+	for _, bad := range []Protocol{panicAt{step: 3}, panicCoin{ladderCoin{k: 4}, 3}} {
+		r := NewRunner()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic from protocol")
+				}
+			}()
+			_, _ = r.Run(g, bad, Config{}, Options{})
+		}()
+		res, err := r.Run(g, flood{}, Config{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BroadcastTime != 5 || !res.Completed {
+			t.Fatalf("run after a %T panic diverged: %+v", bad, res)
+		}
 	}
 }
 

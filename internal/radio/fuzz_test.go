@@ -39,6 +39,71 @@ func (n *mixedNode) Act(t int) (bool, any) {
 }
 func (n *mixedNode) Deliver(t int, msg Message) {}
 
+// ladderCoin is a test-local oblivious coin protocol. It implements
+// CoinProtocol, so the engine runs it on the coin path, and its programs'
+// Act reads the same schedule, so the oracle runs it on the program path.
+// Its stages of k steps cover every kind of CoinStep: position 0 is a
+// source-only step in every third stage and a sure transmission (Exp 0)
+// otherwise, positions 1..k-2 are a Decay ladder, and the last position
+// alternates between silence (Exp < 0) and a 66-bit coin that draws two
+// words and (almost) never fires.
+type ladderCoin struct{ k int }
+
+// ladderCoinProto is the lowest FuzzRunVsReference proto byte that selects
+// ladderCoin. Lower bytes pick among the other four protocols by proto%4,
+// so every committed corpus entry keeps the protocol it was found with.
+const ladderCoinProto = 0xF0
+
+func (p ladderCoin) Name() string { return "ladder-coin" }
+
+func (p ladderCoin) at(t int) CoinStep {
+	pos, stage := (t-1)%p.k, (t-1)/p.k
+	st := CoinStep{Exp: pos, Start: t - pos}
+	switch {
+	case pos == 0 && stage%3 == 0:
+		st.SourceOnly = true
+	case pos == p.k-1 && stage%2 == 0:
+		st.Exp = -1
+	case pos == p.k-1:
+		st.Exp = 66
+	}
+	return st
+}
+
+func (p ladderCoin) CoinSchedule(cfg Config) func(t int) CoinStep {
+	return p.at
+}
+
+func (p ladderCoin) NewNode(label int, cfg Config) NodeProgram {
+	n := &ladderCoinNode{at: p.at, src: rng.NewStream(cfg.Seed, uint64(label)),
+		source: label == 0, informedAt: -1}
+	if n.source {
+		n.informedAt = 0
+	}
+	return n
+}
+
+type ladderCoinNode struct {
+	at         func(int) CoinStep
+	src        *rng.Source
+	source     bool
+	informedAt int
+}
+
+func (n *ladderCoinNode) Act(t int) (bool, any) {
+	st := n.at(t)
+	if st.SourceOnly {
+		return n.source, nil
+	}
+	return st.Fires(n.informedAt, n.src), nil
+}
+
+func (n *ladderCoinNode) Deliver(t int, msg Message) {
+	if n.informedAt < 0 {
+		n.informedAt = t
+	}
+}
+
 // fuzzGraph deterministically derives a small broadcastable topology from
 // the fuzz input.
 func fuzzGraph(gseed uint64, kind uint8, n int) *graph.Graph {
@@ -98,11 +163,13 @@ func fuzzPlan(pseed uint64, n int, lossB, crashB, jamB uint8) *fault.Plan {
 
 // FuzzRunVsReference is the differential fuzzer the hot loop is gated on:
 // for random connected graphs, seeds, protocols (randomized coin,
-// deterministic flood, SourceCarrier-mixing mixed, nil-payload nilFlood —
-// the last being the only one eligible for the bit-parallel tally kernel),
-// and fault plans derived from three extra bytes, the optimized CSR engine
-// and the naive oracle must agree on every observable Result field AND on
-// every obs.Counters field — including runs that hit the step budget.
+// deterministic flood, SourceCarrier-mixing mixed, and the nil-payload
+// nilFlood and ladderCoin that are eligible for the bit-parallel tally
+// kernel — ladderCoin on the engine's coin path against its NodePrograms
+// in the oracle), and fault plans derived from three extra bytes, the
+// optimized CSR engine and the naive oracle must agree on every observable
+// Result field AND on every obs.Counters field — including runs that hit
+// the step budget.
 func FuzzRunVsReference(f *testing.F) {
 	f.Add(uint64(1), uint64(7), uint8(0), uint8(20), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint64(9), uint8(1), uint8(40), uint8(1), uint8(0), uint8(0), uint8(0))
@@ -124,17 +191,28 @@ func FuzzRunVsReference(f *testing.F) {
 	f.Add(uint64(12), uint64(29), uint8(0), uint8(62), uint8(3), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(13), uint64(31), uint8(4), uint8(62), uint8(2), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(14), uint64(33), uint8(4), uint8(78), uint8(3), uint8(0x22), uint8(0), uint8(0))
+	// Node-only plans (crash-only 0x0c, sleep-only 0x50) on the same dense
+	// GNP inputs must stay off tallyFaulty and drive the fault-free tallies,
+	// the bitset kernel included, with down receivers gated at delivery;
+	// ladderCoin does so on the coin path.
+	f.Add(uint64(15), uint64(35), uint8(4), uint8(62), uint8(3), uint8(0), uint8(0x0c), uint8(0))
+	f.Add(uint64(16), uint64(37), uint8(4), uint8(78), uint8(3), uint8(0), uint8(0x50), uint8(0))
+	f.Add(uint64(17), uint64(39), uint8(4), uint8(78), uint8(ladderCoinProto), uint8(0), uint8(0x0c), uint8(0))
+	f.Add(uint64(18), uint64(41), uint8(4), uint8(62), uint8(ladderCoinProto), uint8(0), uint8(0x50), uint8(0))
+	f.Add(uint64(19), uint64(43), uint8(4), uint8(78), uint8(ladderCoinProto), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, gseed, pseed uint64, kind, size, proto, lossB, crashB, jamB uint8) {
 		n := 2 + int(size)%79 // [2, 80]
 		g := fuzzGraph(gseed, kind, n)
 		plan := fuzzPlan(pseed, n, lossB, crashB, jamB)
 		var p Protocol
-		switch proto % 4 {
-		case 0:
+		switch {
+		case proto >= ladderCoinProto:
+			p = ladderCoin{k: 3 + int(gseed%5)}
+		case proto%4 == 0:
 			p = coin{}
-		case 1:
+		case proto%4 == 1:
 			p = flood{}
-		case 2:
+		case proto%4 == 2:
 			p = mixed{}
 		default:
 			// nilFlood transmits nil payloads only, so on bitmap-dense

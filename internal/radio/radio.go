@@ -26,6 +26,7 @@ import (
 
 	"adhocradio/internal/fault"
 	"adhocradio/internal/graph"
+	"adhocradio/internal/rng"
 )
 
 // Config carries the a-priori knowledge shared by all nodes, matching
@@ -42,6 +43,8 @@ type Config struct {
 	R int
 	// Seed is the master random seed. Each node derives an independent
 	// stream from (Seed, label), so runs are replayable.
+	//
+	//radiolint:mirror-exempt the engine reads Seed only to derive a CoinProtocol's node streams, rng.Stream(Seed, label), the same streams the NodePrograms the oracle drives derive from the cfg it hands NewNode
 	Seed uint64
 }
 
@@ -143,6 +146,49 @@ type NeighborAwareProtocol interface {
 	NewNodeWithNeighbors(label int, neighbors []int, cfg Config) NodeProgram
 }
 
+// CoinProtocol is an optional extension for oblivious coin protocols, the
+// class of the paper's Section 2 algorithm and of its Decay baseline: at
+// step t every participating node transmits with one shared probability
+// 2^-e(t), and only the coin is private. Such a protocol hands the engine
+// its whole behaviour as one shared schedule, and the engine runs it
+// without NodePrograms: per step it resolves the schedule once, then draws
+// every informed node's coin from a flat array of per-node streams and
+// sends nil payloads. NewNode must still return programs that behave coin
+// for coin the same (the RunReference* oracles and wrapped protocols drive
+// those), which is easiest by writing Act over the same schedule function.
+//
+// Spontaneous and neighbor-aware protocols never take the coin path.
+type CoinProtocol interface {
+	Protocol
+	// CoinSchedule returns the run's schedule under cfg: the function
+	// resolving step t >= 1. Node v draws its coins from
+	// rng.Stream(cfg.Seed, v), the stream its NodeProgram owns. Like
+	// NewNode it has no error path; a protocol that can reject cfg panics
+	// here as it would in NewNode.
+	CoinSchedule(cfg Config) func(t int) CoinStep
+}
+
+// CoinStep is one step of a CoinProtocol's schedule.
+type CoinStep struct {
+	// Exp is the shared exponent: a participating node transmits with
+	// probability 2^-Exp. Negative means nobody transmits.
+	Exp int
+	// Start is the first step of the current stage: a node participates
+	// iff it was informed strictly before Start.
+	Start int
+	// SourceOnly marks a step in which the source alone transmits, whatever
+	// Exp and Start say, and nobody draws a coin.
+	SourceOnly bool
+}
+
+// Fires reports whether a node informed at step informedAt transmits in
+// this step, drawing its coin from src. Steps that are SourceOnly are the
+// caller's to handle. Nothing is drawn when the node does not participate,
+// when Exp < 0, or when Exp == 0 (a sure transmission).
+func (c CoinStep) Fires(informedAt int, src *rng.Source) bool {
+	return c.Exp >= 0 && informedAt < c.Start && src.CoinPow2(c.Exp)
+}
+
 // Options control a simulation run.
 //
 // The struct carries the mirror marker so any future engine-consulted knob
@@ -172,9 +218,12 @@ type Options struct {
 	// Fault attaches a deterministic fault-injection plan (link loss,
 	// topology churn, jammers, crash and sleep-wake schedules — see
 	// internal/fault). Nil or inactive plans leave the fault-free hot path
-	// untouched. Every fault model is implemented identically in the naive
-	// RunReference oracle (RunReferenceWithFaults), so the differential
-	// battery gates the faulty paths too.
+	// untouched. Plans that only take nodes down (crash, sleep) keep the
+	// fault-free tallies and drop down receivers at delivery; plans with
+	// link loss, churn or jammers take the per-arc fault tally. Every fault
+	// model is implemented identically in the naive RunReference oracle
+	// (RunReferenceWithFaults), so the differential battery gates the
+	// faulty paths too.
 	//
 	//radiolint:mirror-exempt the oracle takes the plan as an explicit parameter; the plan's own members are mirror-checked
 	Fault *fault.Plan

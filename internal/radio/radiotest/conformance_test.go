@@ -25,8 +25,18 @@ func TestConformanceKPPaperExact(t *testing.T) {
 	Check(t, func() radio.Protocol { return core.NewPaperExact() }, Options{})
 }
 
+func TestConformanceKPAblated(t *testing.T) {
+	Check(t, func() radio.Protocol {
+		return core.NewWithParams(core.Params{DisableUniversalStep: true})
+	}, Options{})
+}
+
 func TestConformanceDecay(t *testing.T) {
 	Check(t, func() radio.Protocol { return decay.New() }, Options{})
+}
+
+func TestConformanceDecayShortStages(t *testing.T) {
+	Check(t, func() radio.Protocol { return &decay.Protocol{StageLength: 3} }, Options{})
 }
 
 func TestConformanceRoundRobin(t *testing.T) {

@@ -40,10 +40,19 @@ func New(seed uint64) *Source {
 // the master seed. It mixes the id through SplitMix64 so that consecutive
 // ids (node labels, trial indices) do not produce correlated streams.
 func NewStream(seed, id uint64) *Source {
+	s := Stream(seed, id)
+	return &s
+}
+
+// Stream is NewStream by value: the same substream, for callers that keep
+// many generators in one flat slice instead of one heap object each.
+func Stream(seed, id uint64) Source {
 	st := seed
 	_ = splitMix64(&st) // decouple from New(seed)
 	st ^= 0xd1342543de82ef95 * (id + 1)
-	return New(splitMix64(&st))
+	var s Source
+	s.Reseed(splitMix64(&st))
+	return s
 }
 
 // Reseed resets the generator state from seed.

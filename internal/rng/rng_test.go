@@ -290,3 +290,16 @@ func BenchmarkCoinPow2(b *testing.B) {
 		_ = s.CoinPow2(10)
 	}
 }
+
+// TestStreamMatchesNewStream pins that the by-value Stream and NewStream
+// are the same substream.
+func TestStreamMatchesNewStream(t *testing.T) {
+	for _, c := range []struct{ seed, id uint64 }{{0, 0}, {7, 1}, {1 << 63, 12345}} {
+		byVal, byPtr := Stream(c.seed, c.id), NewStream(c.seed, c.id)
+		for i := 0; i < 8; i++ {
+			if a, b := byVal.Uint64(), byPtr.Uint64(); a != b {
+				t.Fatalf("seed %d id %d draw %d: Stream %x, NewStream %x", c.seed, c.id, i, a, b)
+			}
+		}
+	}
+}
